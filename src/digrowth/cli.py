@@ -99,11 +99,12 @@ def _write_curve_csv(mdl, curve: explorer.CriticalCurve, out) -> None:
     w = csv.writer(out)
     w.writerow(["branch", "m", "T", "nu", "lambda_residual"])
     for b, branch in enumerate(curve.branches):
-        for m, T in branch:
-            res = dynamics.growth_rate(
-                mdl, model_mod.ModelParameters(m=float(m), T=float(T))).lam
+        residuals, status = dynamics.growth_rates(mdl, branch[:, 0],
+                                                  branch[:, 1])
+        dynamics.raise_for_status(status)
+        for (m, T), res in zip(branch, residuals):
             w.writerow([b, _fmt(float(m)), _fmt(float(T)),
-                        _fmt(1.0 / float(T)), _fmt(res)])
+                        _fmt(1.0 / float(T)), _fmt(float(res))])
 
 
 # ---------------------------------------------------------------------------
@@ -167,8 +168,7 @@ def _cmd_sweep(args) -> int:
     mdl = _resolve_model(args.model)
     m_lo, m_hi, m_n = _parse_range(args.m_range, "m-range")
     T_lo, T_hi, T_n = _parse_range(args.T_range, "T-range")
-    grid = explorer.sweep(mdl, (m_lo, m_hi), (T_lo, T_hi), (m_n, T_n),
-                          jobs=args.jobs)
+    grid = explorer.sweep(mdl, (m_lo, m_hi), (T_lo, T_hi), (m_n, T_n))
     out, close = _open_out(args.out)
     try:
         _write_sweep_csv(grid, out)
@@ -183,7 +183,7 @@ def _cmd_critical(args) -> int:
     m_lo, m_hi, m_n = _parse_range(args.m_range, "m-range")
     T_lo, T_hi, T_n = _parse_range(args.T_range, "T-range")
     curve = explorer.critical_curve(mdl, (m_lo, m_hi), (T_lo, T_hi),
-                                    (m_n, T_n), tol=args.tol, jobs=args.jobs)
+                                    (m_n, T_n), tol=args.tol)
     out, close = _open_out(args.out)
     try:
         _write_curve_csv(mdl, curve, out)
@@ -195,7 +195,7 @@ def _cmd_critical(args) -> int:
 
 def _cmd_classify(args) -> int:
     mdl = _resolve_model(args.model)
-    verdict = explorer.classify_dig(mdl, jobs=args.jobs)
+    verdict = explorer.classify_dig(mdl)
     _emit({"all_sinks": verdict.all_sinks, "chi": verdict.chi,
            "dig_possible": verdict.dig_possible, "case": verdict.case,
            "m_star": verdict.m_star, "empirical": verdict.empirical})
@@ -214,12 +214,15 @@ def _cmd_simulate(args) -> int:
 
 # ---------------------------------------------------------------------------
 # reproduce: the data sets behind the figures
+#
+# A producer is called as produce(outdir, resolution).  It accepts and
+# ignores a third positional argument, which bench/workloads.py passes.
 # ---------------------------------------------------------------------------
 
 def _repro_sweep(name, model_ref, m_range=(1e-2, 1e2), T_range=(1e-2, 1e3)):
-    def run(outdir, res, jobs):
+    def run(outdir, res, _=None):
         mdl = _resolve_model(model_ref)
-        grid = explorer.sweep(mdl, m_range, T_range, res, jobs=jobs)
+        grid = explorer.sweep(mdl, m_range, T_range, res)
         with open(os.path.join(outdir, name + "_sweep.csv"), "w",
                   newline="") as fh:
             _write_sweep_csv(grid, fh)
@@ -227,11 +230,10 @@ def _repro_sweep(name, model_ref, m_range=(1e-2, 1e2), T_range=(1e-2, 1e3)):
 
 
 def _repro_curve(name, model_ref, m_range=(1e-2, 1e2), T_range=(1e-2, 1e3)):
-    def run(outdir, res, jobs):
+    def run(outdir, res, _=None):
         mdl = _resolve_model(model_ref)
         try:
-            curve = explorer.critical_curve(mdl, m_range, T_range, res,
-                                            jobs=jobs)
+            curve = explorer.critical_curve(mdl, m_range, T_range, res)
         except explorer.NoZeroCrossing:
             curve = explorer.CriticalCurve(branches=[], tol=explorer.CURVE_TOL)
         with open(os.path.join(outdir, name + "_curve.csv"), "w",
@@ -241,27 +243,33 @@ def _repro_curve(name, model_ref, m_range=(1e-2, 1e2), T_range=(1e-2, 1e3)):
 
 
 def _repro_slices(name, model_ref, m_fixed, T_fixed):
-    def run(outdir, res, jobs):
+    def run(outdir, res, _=None):
         mdl = _resolve_model(model_ref)
+        ms = np.geomspace(1e-2, 1e2, 200)
+        Ts = np.geomspace(1e-2, 1e3, 200)
+        by_T, st_T = dynamics.growth_rates(mdl, ms[None, :],
+                                           np.array(T_fixed, float)[:, None])
+        by_m, st_m = dynamics.growth_rates(mdl, np.array(m_fixed, float)[:, None],
+                                           Ts[None, :])
+        dynamics.raise_for_status(st_T)
+        dynamics.raise_for_status(st_m)
         with open(os.path.join(outdir, name + "_slices.csv"), "w",
                   newline="") as fh:
             w = csv.writer(fh)
             w.writerow(["slice", "fixed_value", "m", "T", "lambda"])
-            for T in T_fixed:
-                for m in np.geomspace(1e-2, 1e2, 200):
-                    params = model_mod.ModelParameters(m=float(m), T=float(T))
+            for T, row in zip(T_fixed, by_T):
+                for m, lam in zip(ms, row):
                     w.writerow(["T", _fmt(T), _fmt(float(m)), _fmt(T),
-                                _fmt(dynamics.growth_rate(mdl, params).lam)])
-            for m in m_fixed:
-                for T in np.geomspace(1e-2, 1e3, 200):
-                    params = model_mod.ModelParameters(m=float(m), T=float(T))
+                                _fmt(float(lam))])
+            for m, row in zip(m_fixed, by_m):
+                for T, lam in zip(Ts, row):
                     w.writerow(["m", _fmt(m), _fmt(m), _fmt(float(T)),
-                                _fmt(dynamics.growth_rate(mdl, params).lam)])
+                                _fmt(float(lam))])
     return run
 
 
 def _repro_slow_curve(name, model_ref, m, T):
-    def run(outdir, res, jobs):
+    def run(outdir, res, _=None):
         mdl = _resolve_model(model_ref)
         params = model_mod.ModelParameters(m=m, T=T)
         traj = dynamics.periodic_simplex_solution(mdl, params)
@@ -317,7 +325,7 @@ def _cmd_reproduce(args) -> int:
                          + ", ".join(sorted(_REPRODUCE)))
     os.makedirs(args.out_dir, exist_ok=True)
     for producer in _REPRODUCE[args.figure]:
-        producer(args.out_dir, args.resolution, args.jobs)
+        producer(args.out_dir, args.resolution)
     _emit({"figure": args.figure, "out_dir": args.out_dir})
     return 0
 
@@ -328,10 +336,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="dig",
         description="Growth rates of periodically forced patch populations")
-    p.add_argument("--jobs", type=int, default=None,
-                   help="max parallel evaluations for sweeps")
-    p.add_argument("--format", choices=["json", "csv"], default="json",
-                   help="output format where both are meaningful")
     sub = p.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("validate", help="validate a model")

@@ -7,7 +7,8 @@ the Perron root of Phi(T).  For piecewise-constant schedules Phi(T) is an
 exact ordered product of segment exponentials; piecewise-smooth schedules fall
 back to fixed-step RK4 aligned to breakpoints.  All internal products carry a
 separate log-scale factor so that nothing overflows even when Lambda*T is in
-the thousands.
+the thousands.  ``growth_rates`` evaluates Lambda over whole arrays of
+(m, T) in stacked passes, for sweeps and scans.
 
 The simplex reduction theta = x / sum(x) obeys
 dtheta/dt = A theta - <A theta, 1> theta and has a unique globally attracting
@@ -34,6 +35,9 @@ POSITIVITY_FLOOR = 1e-300
 # target on ||h * T * A|| per exponential sub-step, keeps factors representable
 _STEP_BUDGET = 10.0
 _MAX_NODES = 400_000
+# cells per stacked pass of growth_rates: its working arrays take about
+# 0.7 kB per cell, so this bounds its memory whatever the grid size
+_BLOCK_CELLS = 1024
 
 
 class DynamicsError(Exception):
@@ -213,6 +217,145 @@ def growth_rate(model: PatchModel, params: ModelParameters,
         cross = abs(value - growth_rate_integral(model, params))
     mu = math.exp(log_mu) if log_mu < 709.0 else math.inf
     return GrowthResult(lam=value, mu=mu, pi=pi, method=method, cross_check=cross)
+
+
+# ---------------------------------------------------------------------------
+# Batched growth rate over (m, T) stacks
+# ---------------------------------------------------------------------------
+
+# cell statuses of growth_rates, and the error growth_rate raises for each
+_STATUS_ERRORS = {
+    "non_positive_monodromy": (NonPositiveMonodromy,
+                               "monodromy matrix is not entrywise positive "
+                               "at these parameters"),
+    "error": (IntegrationFailure, "matrix exponential scaling broke down"),
+}
+
+
+def _expm_scaled_stack(A: np.ndarray) -> tuple[np.ndarray, np.ndarray,
+                                                np.ndarray]:
+    """``_expm_scaled`` over a stack (N, n, n): (E, l, broken) with
+    e^{A[c]} = e^{l[c]} E[c], the same squaring count per cell from its
+    1-norm, and ``broken`` marking cells whose scaling broke down.
+    """
+    with np.errstate(over="ignore"):  # an infinite norm marks the cell
+        nrm = np.abs(A).sum(axis=1).max(axis=1)
+    broken = ~np.isfinite(nrm)
+    big = (nrm > _STEP_BUDGET) & ~broken
+    j = np.zeros(len(A), dtype=int)
+    j[big] = np.ceil(np.log2(nrm[big] / _STEP_BUDGET))
+    A = np.where(broken[:, None, None], 0.0, A)
+    E = expm(A / (2.0 ** j)[:, None, None])
+    c = np.abs(E).max(axis=(1, 2))
+    pos = c > 0.0
+    c = np.where(pos, c, 1.0)
+    E /= c[:, None, None]
+    l = np.where(pos, np.log(c), 0.0)
+    for s in range(int(j.max(initial=0))):
+        k = np.flatnonzero((j > s) & ~broken)
+        Ek = E[k] @ E[k]
+        c = np.abs(Ek).max(axis=(1, 2))
+        fail = ~(np.isfinite(c) & (c > 0.0))
+        broken[k[fail]] = True
+        E[k[fail]] = np.eye(A.shape[1])
+        k, Ek, c = k[~fail], Ek[~fail], c[~fail]
+        E[k] = Ek / c[:, None, None]
+        l[k] = 2.0 * l[k] + np.log(c)
+    return E, l, broken
+
+
+def _growth_rates_product(model: PatchModel, m: np.ndarray,
+                          T: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Exponential-product path of ``growth_rates`` on flat m and T."""
+    n, size = model.n, len(m)
+    _, widths, mats = merged_segments(model, m[:, None, None])
+    M = np.broadcast_to(np.eye(n), (size, n, n)).copy()
+    logscale = np.zeros(size)
+    broken = np.zeros(size, dtype=bool)
+    for w, A in zip(widths, mats):
+        E, l, bad = _expm_scaled_stack((w * T)[:, None, None] * A)
+        broken |= bad
+        M = E @ M
+        logscale += l
+        c = np.abs(M).max(axis=(1, 2))
+        fail = ~(np.isfinite(c) & (c > 0.0))
+        broken |= fail
+        M[fail] = np.eye(n)
+        c[fail] = 1.0
+        M /= c[:, None, None]
+        logscale += np.log(c)
+    nonpositive = np.zeros(size, dtype=bool)
+    if model.validation is not ValidationStatus.IRREDUCIBLE_EVERYWHERE:
+        nonpositive = np.any(M <= POSITIVITY_FLOOR, axis=(1, 2))
+    clip = M.min(axis=(1, 2)) > -1e-13
+    M = np.where(clip[:, None, None], np.maximum(M, 0.0), M)
+    root = np.linalg.eigvals(M).real.max(axis=1)
+    nonpositive |= root <= 0.0
+    status = np.full(size, "ok", dtype=object)
+    status[nonpositive] = "non_positive_monodromy"
+    status[broken] = "error"
+    good = status == "ok"
+    lam = np.full(size, np.nan)
+    lam[good] = (logscale[good] + np.log(root[good])) / T[good]
+    return lam, status
+
+
+def _growth_rates_cellwise(model: PatchModel, m: np.ndarray,
+                           T: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``growth_rates`` one ``growth_rate`` call per cell, for schedules
+    without an exponential product."""
+    lam = np.full(len(m), np.nan)
+    status = np.full(len(m), "ok", dtype=object)
+    for k, (mk, Tk) in enumerate(zip(m, T)):
+        try:
+            lam[k] = growth_rate(model, ModelParameters(float(mk),
+                                                        float(Tk))).lam
+        except NonPositiveMonodromy:
+            status[k] = "non_positive_monodromy"
+        except IntegrationFailure:
+            status[k] = "error"
+    return lam, status
+
+
+def growth_rates(model: PatchModel, m, T) -> tuple[np.ndarray, np.ndarray]:
+    """Lambda(m, T) over the broadcast of the arrays m and T, with a status
+    per cell.
+
+    A status is "ok", "non_positive_monodromy" where ``growth_rate`` raises
+    NonPositiveMonodromy, or "error" where the scaled exponentials or their
+    product break down; Lambda is NaN where the status is not "ok".  Cells
+    go in blocks of _BLOCK_CELLS.  Per block the merged segments are built
+    once; each cell's exponentials are scaled and squared as in
+    ``_expm_scaled`` and multiplied in order with their own log-scale, and
+    the Perron root is the dominant eigenvalue from one stacked dense solve.
+    A cell's value does not depend on the other cells of the batch.  Any
+    other exception propagates.
+    """
+    m, T = np.broadcast_arrays(np.asarray(m, dtype=float),
+                               np.asarray(T, dtype=float))
+    if not np.all((m > 0.0) & np.isfinite(m)):
+        raise ValueError("growth_rates needs finite m > 0; use the m->0 "
+                         "limit instead")
+    if not np.all((T > 0.0) & np.isfinite(T)):
+        raise ValueError("growth_rates needs finite T > 0")
+    shape = m.shape
+    m, T = m.ravel(), T.ravel()
+    rates = _growth_rates_product if _is_pwc(model) else _growth_rates_cellwise
+    blocks = [rates(model, m[s:s + _BLOCK_CELLS], T[s:s + _BLOCK_CELLS])
+              for s in range(0, max(m.size, 1), _BLOCK_CELLS)]
+    lam = np.concatenate([b[0] for b in blocks]).reshape(shape)
+    status = np.concatenate([b[1] for b in blocks]).reshape(shape)
+    return lam, status
+
+
+def raise_for_status(status) -> None:
+    """Raise, for the first failed cell of a ``growth_rates`` status array,
+    the error ``growth_rate`` raises there."""
+    status = np.asarray(status).ravel()
+    failed = status[status != "ok"]
+    if failed.size:
+        error, message = _STATUS_ERRORS[failed[0]]
+        raise error(message)
 
 
 def growth_rate_oracle(model: PatchModel, params: ModelParameters,

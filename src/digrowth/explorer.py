@@ -1,26 +1,26 @@
 """Parameter-plane exploration: (m, T) sweeps, critical-curve tracing, and
 dispersal-induced-growth classification.
 
-A sweep evaluates Lambda on a (log-spaced) rectangular grid, cell by cell,
-recording a status instead of failing where the monodromy matrix is not
-positive.  Critical curves (the zero set of Lambda) are traced by marching
-squares on the sweep grid followed by one-dimensional bisection along each
-crossing edge, so every emitted vertex satisfies |Lambda| <= tol.  The DIG
-verdict combines the exact threshold chi with the slow-regime root m*; for
-models that are only provisionally valid (reducible migration) the verdict is
-empirical, summarizing the sweep.
+A sweep evaluates Lambda on a (log-spaced) rectangular grid in one batched
+``growth_rates`` call, recording a status instead of failing where the
+monodromy matrix is not positive.  Critical curves (the zero set of Lambda)
+are traced by marching squares on the sweep grid followed by one-dimensional
+bisection along each crossing edge, all edges in lockstep, so every emitted
+vertex satisfies |Lambda| <= tol.  The DIG verdict combines the exact
+threshold chi with the slow-regime root m*; for models that are only
+provisionally valid (reducible migration) the verdict is empirical,
+summarizing the sweep.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import asymptotics
-from .dynamics import NonPositiveMonodromy, growth_rate
+from .dynamics import growth_rate, growth_rates, raise_for_status
 from .model import ModelParameters, PatchModel, ValidationStatus
 
 DEFAULT_M_RANGE = (1e-2, 1e2)
@@ -28,6 +28,8 @@ DEFAULT_T_RANGE = (1e-2, 1e3)
 DEFAULT_RESOLUTION = 128
 CURVE_TOL = 1e-8
 BISECT_CAP = 60
+# points of the log-spaced T scan behind max_lambda_over_T and growth_band
+T_SCAN_SAMPLES = 400
 
 
 class ExplorerError(Exception):
@@ -79,55 +81,85 @@ def _lambda_at(model: PatchModel, m: float, T: float) -> float:
     return growth_rate(model, ModelParameters(m=m, T=T)).lam
 
 
+def _lambdas(model: PatchModel, m, T) -> np.ndarray:
+    """Lambda over the broadcast of m and T; raises where a cell fails."""
+    lam, status = growth_rates(model, m, T)
+    raise_for_status(status)
+    return lam
+
+
 def sweep(model: PatchModel,
           m_range: tuple[float, float] = DEFAULT_M_RANGE,
           T_range: tuple[float, float] = DEFAULT_T_RANGE,
-          resolution: int | tuple[int, int] = DEFAULT_RESOLUTION,
-          jobs: int | None = None) -> SweepGrid:
+          resolution: int | tuple[int, int] = DEFAULT_RESOLUTION) -> SweepGrid:
     """Evaluate Lambda on a log-spaced (m, T) grid."""
     if isinstance(resolution, int):
         resolution = (resolution, resolution)
     m_values = np.geomspace(m_range[0], m_range[1], resolution[0])
     T_values = np.geomspace(T_range[0], T_range[1], resolution[1])
-    lam = np.full((len(m_values), len(T_values)), np.nan)
-    status = np.full(lam.shape, "ok", dtype=object)
-
-    def cell(ij):
-        i, j = ij
-        try:
-            return i, j, _lambda_at(model, m_values[i], T_values[j]), "ok"
-        except NonPositiveMonodromy:
-            return i, j, np.nan, "non_positive_monodromy"
-        except Exception:
-            return i, j, np.nan, "error"
-
-    indices = [(i, j) for i in range(len(m_values)) for j in range(len(T_values))]
-    if jobs and jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(cell, indices))
-    else:
-        results = [cell(ij) for ij in indices]
-    for i, j, value, st in results:
-        lam[i, j] = value
-        status[i, j] = st
+    lam, status = growth_rates(model, m_values[:, None], T_values[None, :])
     return SweepGrid(m_values=m_values, T_values=T_values, lam=lam,
                      status=status, chi=asymptotics.chi(model))
 
 
-def _bisect_edge(f, lo: float, hi: float, f_lo: float, f_hi: float,
-                 tol: float) -> float:
-    """Root along one coordinate, bisected in log-space, |f| <= tol at exit."""
-    llo, lhi = math.log(lo), math.log(hi)
+def _bisect_edges(f, lo, hi, f_lo, tol: float) -> list[float]:
+    """Roots along edges [lo[e], hi[e]], bisected in log-space until
+    |f| <= tol or BISECT_CAP steps, all edges in lockstep.
+
+    ``f(edges, points)`` gives the values at one point on each listed edge;
+    ``f_lo[e]`` is the value at ``lo[e]``.
+    """
+    llo = [math.log(x) for x in lo]
+    lhi = [math.log(x) for x in hi]
+    f_lo = list(f_lo)
+    roots = [math.nan] * len(llo)
+    live = list(range(len(llo)))
     for _ in range(BISECT_CAP):
-        mid = math.exp(0.5 * (llo + lhi))
-        val = f(mid)
-        if abs(val) <= tol:
-            return mid
-        if (val > 0.0) == (f_lo > 0.0):
-            llo, f_lo = math.log(mid), val
-        else:
-            lhi = math.log(mid)
-    return math.exp(0.5 * (llo + lhi))
+        if not live:
+            break
+        mids = [math.exp(0.5 * (llo[e] + lhi[e])) for e in live]
+        still = []
+        for e, mid, val in zip(live, mids, f(live, mids)):
+            if abs(val) <= tol:
+                roots[e] = mid
+                continue
+            if (val > 0.0) == (f_lo[e] > 0.0):
+                llo[e], f_lo[e] = math.log(mid), val
+            else:
+                lhi[e] = math.log(mid)
+            still.append(e)
+        live = still
+    for e in live:
+        roots[e] = math.exp(0.5 * (llo[e] + lhi[e]))
+    return roots
+
+
+def _bisect_edge(f, lo: float, hi: float, f_lo: float, tol: float) -> float:
+    """Root of the scalar function f on one edge, as in ``_bisect_edges``."""
+    return _bisect_edges(lambda _, xs: [f(x) for x in xs],
+                         [lo], [hi], [f_lo], tol)[0]
+
+
+def _refine_crossings(model: PatchModel, keys: list[tuple], mv: np.ndarray,
+                      Tv: np.ndarray, lam: np.ndarray,
+                      tol: float) -> dict[tuple, tuple[float, float]]:
+    """Refined (m, T) crossing point per grid edge key (orientation, i, j):
+    an "h" edge joins (i, j) to (i+1, j) and varies in m, a "v" edge joins
+    (i, j) to (i, j+1) and varies in T.  One batched Lambda call per
+    bisection step covers every edge still open."""
+    horiz = np.array([orient == "h" for orient, _, _ in keys])
+    fixed = np.array([Tv[j] if orient == "h" else mv[i]
+                      for orient, i, j in keys])
+    lo = [mv[i] if orient == "h" else Tv[j] for orient, i, j in keys]
+    hi = [mv[i + 1] if orient == "h" else Tv[j + 1] for orient, i, j in keys]
+
+    def f(edges, xs):
+        h, c = horiz[edges], fixed[edges]
+        return _lambdas(model, np.where(h, xs, c), np.where(h, c, xs))
+
+    roots = _bisect_edges(f, lo, hi, [lam[i, j] for _, i, j in keys], tol)
+    return {key: (root, c) if h else (c, root)
+            for key, root, h, c in zip(keys, roots, horiz, fixed)}
 
 
 def critical_curve(model: PatchModel,
@@ -135,34 +167,13 @@ def critical_curve(model: PatchModel,
                    T_range: tuple[float, float] = DEFAULT_T_RANGE,
                    resolution: int | tuple[int, int] = DEFAULT_RESOLUTION,
                    tol: float = CURVE_TOL,
-                   grid: SweepGrid | None = None,
-                   jobs: int | None = None) -> CriticalCurve:
+                   grid: SweepGrid | None = None) -> CriticalCurve:
     """Zero-level set of Lambda(m, T) as refined polyline branches."""
     if grid is None:
-        grid = sweep(model, m_range, T_range, resolution, jobs=jobs)
+        grid = sweep(model, m_range, T_range, resolution)
     mv, Tv, lam = grid.m_values, grid.T_values, grid.lam
     ok = grid.ok() & np.isfinite(lam)
     pos = lam > 0.0
-
-    # refined crossing point per grid edge, keyed by (orientation, i, j)
-    points: dict[tuple, tuple[float, float]] = {}
-
-    def edge_point(key):
-        if key in points:
-            return points[key]
-        orient, i, j = key
-        if orient == "h":  # between (i, j) and (i+1, j): varies in m
-            a, b = lam[i, j], lam[i + 1, j]
-            root = _bisect_edge(lambda m: _lambda_at(model, m, Tv[j]),
-                                mv[i], mv[i + 1], a, b, tol)
-            pt = (root, Tv[j])
-        else:              # between (i, j) and (i, j+1): varies in T
-            a, b = lam[i, j], lam[i, j + 1]
-            root = _bisect_edge(lambda T: _lambda_at(model, mv[i], T),
-                                Tv[j], Tv[j + 1], a, b, tol)
-            pt = (mv[i], root)
-        points[key] = pt
-        return pt
 
     def crossings(i, j):
         """Edge keys of the cell (i, j)..(i+1, j+1) where the sign flips."""
@@ -199,6 +210,7 @@ def critical_curve(model: PatchModel,
                     links.setdefault(b, set()).add(a)
     if not links:
         raise NoZeroCrossing("Lambda has uniform sign on the usable grid")
+    points = _refine_crossings(model, list(links), mv, Tv, lam, tol)
 
     # walk the graph into polyline branches
     unvisited = set(links)
@@ -217,7 +229,7 @@ def critical_curve(model: PatchModel,
                 chain.append(nxt[0])
                 unvisited.discard(nxt[0])
             chain.reverse()
-        pts = np.array([edge_point(k) for k in chain])
+        pts = np.array([points[k] for k in chain])
         order = np.argsort(pts[:, 0], kind="stable")
         branches.append(pts[order])
     branches.sort(key=lambda b: b[0, 0])
@@ -225,13 +237,12 @@ def critical_curve(model: PatchModel,
 
 
 def classify_dig(model: PatchModel,
-                 sweep_resolution: int = 64,
-                 jobs: int | None = None) -> DigVerdict:
+                 sweep_resolution: int = 64) -> DigVerdict:
     """Exact verdict for everywhere-irreducible models; empirical otherwise."""
     chi_val = asymptotics.chi(model)
     all_sinks = model.all_sinks()
     if model.validation is not ValidationStatus.IRREDUCIBLE_EVERYWHERE:
-        grid = sweep(model, resolution=sweep_resolution, jobs=jobs)
+        grid = sweep(model, resolution=sweep_resolution)
         finite = grid.lam[grid.ok() & np.isfinite(grid.lam)]
         found = bool(finite.size and finite.max() > 0.0)
         best = float(finite.max()) if finite.size else float("nan")
@@ -259,10 +270,12 @@ def monotonicity_scan(model: PatchModel, m_list, T_ladder) -> dict:
     """For each m, report whether Lambda(m, .) is numerically monotone on the
     ladder.  Evidence only; nothing is asserted about in-between periods.
     """
-    T_ladder = list(T_ladder)
+    m_list = list(m_list)
+    lam = _lambdas(model, np.asarray(m_list, dtype=float)[:, None],
+                   np.asarray(list(T_ladder), dtype=float)[None, :])
     out = {}
-    for m in m_list:
-        vals = [_lambda_at(model, m, T) for T in T_ladder]
+    for m, row in zip(m_list, lam):
+        vals = row.tolist()
         diffs = np.diff(vals)
         out[float(m)] = {
             "lambda": vals,
@@ -280,30 +293,24 @@ def critical_period(model: PatchModel, m: float,
     Raises NoZeroCrossing when Lambda keeps one sign over the whole range.
     """
     Ts = np.geomspace(T_range[0], T_range[1], samples)
-    prev_T, prev_v = Ts[0], _lambda_at(model, m, Ts[0])
-    if abs(prev_v) <= tol:
-        return float(prev_T)
-    for T in Ts[1:]:
-        v = _lambda_at(model, m, T)
+    vals, status = growth_rates(model, m, Ts)
+    for k, (T, v) in enumerate(zip(Ts, vals)):
+        raise_for_status(status[k])
         if abs(v) <= tol:
             return float(T)
-        if (v > 0.0) != (prev_v > 0.0):
+        if k and (v > 0.0) != (vals[k - 1] > 0.0):
             return _bisect_edge(lambda t: _lambda_at(model, m, t),
-                                prev_T, T, prev_v, v, tol)
-        prev_T, prev_v = T, v
+                                Ts[k - 1], T, vals[k - 1], tol)
     raise NoZeroCrossing(f"Lambda({m}, .) keeps one sign on {T_range}")
 
 
-def max_lambda_over_T(model: PatchModel, m: float,
-                      T_range: tuple[float, float] = DEFAULT_T_RANGE,
-                      samples: int = 400) -> float:
-    """max_T Lambda(m, T) over a dense log-spaced scan with parabolic refine."""
-    Ts = np.geomspace(T_range[0], T_range[1], samples)
-    vals = np.array([_lambda_at(model, m, T) for T in Ts])
+def _polish_max(model: PatchModel, m: float, Ts: np.ndarray,
+                vals: np.ndarray) -> float:
+    """max of a log-spaced scan of Lambda(m, .), golden-section polished on
+    log T around the discrete argmax."""
     k = int(np.argmax(vals))
     best = float(vals[k])
-    if 0 < k < samples - 1:
-        # golden-section polish on log T around the discrete argmax
+    if 0 < k < len(Ts) - 1:
         lo, hi = math.log(Ts[k - 1]), math.log(Ts[k + 1])
         phi = (math.sqrt(5.0) - 1.0) / 2.0
         a, b = lo, hi
@@ -323,6 +330,14 @@ def max_lambda_over_T(model: PatchModel, m: float,
     return best
 
 
+def max_lambda_over_T(model: PatchModel, m: float,
+                      T_range: tuple[float, float] = DEFAULT_T_RANGE,
+                      samples: int = T_SCAN_SAMPLES) -> float:
+    """max_T Lambda(m, T) over a dense log-spaced scan with parabolic refine."""
+    Ts = np.geomspace(T_range[0], T_range[1], samples)
+    return _polish_max(model, m, Ts, _lambdas(model, m, Ts))
+
+
 def growth_band(model: PatchModel,
                 m_range: tuple[float, float] = DEFAULT_M_RANGE,
                 T_range: tuple[float, float] = DEFAULT_T_RANGE,
@@ -334,17 +349,18 @@ def growth_band(model: PatchModel,
     the T-maximized growth rate.
     """
     ms = np.geomspace(m_range[0], m_range[1], coarse)
-    g = np.array([max_lambda_over_T(model, m, T_range) for m in ms])
+    Ts = np.geomspace(T_range[0], T_range[1], T_SCAN_SAMPLES)
+    lam = _lambdas(model, ms[:, None], Ts[None, :])
+    g = np.array([_polish_max(model, m, Ts, row) for m, row in zip(ms, lam)])
     positive = np.flatnonzero(g > 0.0)
     if positive.size == 0:
         raise NoZeroCrossing("no growth found on the coarse m scan")
     i0, i1 = positive[0], positive[-1]
 
-    def refine(lo, hi, f_lo, f_hi):
+    def refine(lo, hi, f_lo):
         return _bisect_edge(lambda m: max_lambda_over_T(model, m, T_range),
-                            lo, hi, f_lo, f_hi, tol)
+                            lo, hi, f_lo, tol)
 
-    m_lo = ms[0] if i0 == 0 else refine(ms[i0 - 1], ms[i0], g[i0 - 1], g[i0])
-    m_hi = ms[-1] if i1 == len(ms) - 1 else \
-        refine(ms[i1], ms[i1 + 1], g[i1], g[i1 + 1])
+    m_lo = ms[0] if i0 == 0 else refine(ms[i0 - 1], ms[i0], g[i0 - 1])
+    m_hi = ms[-1] if i1 == len(ms) - 1 else refine(ms[i1], ms[i1 + 1], g[i1])
     return float(m_lo), float(m_hi)

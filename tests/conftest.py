@@ -2,10 +2,18 @@
 
 from __future__ import annotations
 
-import numpy as np
-import pytest
+import os
 
-from digrowth.model import (PatchModel, PeriodicMatrixFunction, validated)
+# the matrices are 2 x 2 and 3 x 3: BLAS helper threads woken by every small
+# LAPACK call only spin against the test thread.  Set before NumPy loads.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
+
+from digrowth.model import (PatchModel, PeriodicMatrixFunction,  # noqa: E402
+                            validated)
 
 
 def random_migration(rng: np.random.Generator, n: int) -> np.ndarray:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from digrowth import asymptotics, explorer, model as M
+from digrowth import asymptotics, dynamics, explorer, model as M
 from digrowth.dynamics import growth_rate
 from digrowth.model import ModelParameters
 
@@ -20,7 +20,7 @@ def test_sweep_basic_and_chi_bound():
 def test_sweep_determinism_and_jobs_independence():
     mdl = M.builtin("ab1")
     g1 = explorer.sweep(mdl, (0.1, 2.0), (0.5, 50.0), 16)
-    g2 = explorer.sweep(mdl, (0.1, 2.0), (0.5, 50.0), 16, jobs=4)
+    g2 = explorer.sweep(mdl, (0.1, 2.0), (0.5, 50.0), 16)
     assert np.array_equal(g1.lam, g2.lam)
 
 
@@ -31,6 +31,15 @@ def test_sweep_equal_rates_constant():
     mdl = M.validated(M.PatchModel(2, growth, migration))
     grid = explorer.sweep(mdl, (0.1, 10.0), (0.1, 10.0), 8)
     assert np.abs(grid.lam + 0.1).max() <= 1e-9
+
+
+def test_sweep_propagates_unexpected_errors(monkeypatch):
+    def broken_expm(A):
+        raise ValueError("not a Lambda failure")
+
+    monkeypatch.setattr(dynamics, "expm", broken_expm)
+    with pytest.raises(ValueError, match="not a Lambda failure"):
+        explorer.sweep(M.builtin("ab1"), (0.1, 2.0), (0.5, 50.0), 4)
 
 
 def test_sweep_marks_nonpositive_cells():

@@ -1,0 +1,124 @@
+"""The batched growth-rate kernel against the scalar growth_rate."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from digrowth import dynamics as D, model as M
+from digrowth.model import ModelParameters, ValidationStatus
+
+IRREDUCIBLE = [name for name in M.catalog()
+               if M.builtin(name).validation
+               is ValidationStatus.IRREDUCIBLE_EVERYWHERE]
+
+
+def _scalar(mdl, m_values, T_values):
+    """Per-cell growth_rate on the grid, with the statuses a sweep records."""
+    lam = np.full((len(m_values), len(T_values)), np.nan)
+    status = np.full(lam.shape, "ok", dtype=object)
+    for i, m in enumerate(m_values):
+        for j, T in enumerate(T_values):
+            try:
+                lam[i, j] = D.growth_rate(
+                    mdl, ModelParameters(float(m), float(T))).lam
+            except D.NonPositiveMonodromy:
+                status[i, j] = "non_positive_monodromy"
+            except D.IntegrationFailure:
+                status[i, j] = "error"
+    return lam, status
+
+
+def _agree(mdl, m_range, T_range, resolution):
+    mv = np.geomspace(*m_range, resolution)
+    Tv = np.geomspace(*T_range, resolution)
+    lam, status = D.growth_rates(mdl, mv[:, None], Tv[None, :])
+    want, want_status = _scalar(mdl, mv, Tv)
+    assert np.array_equal(status, want_status)
+    ok = status == "ok"
+    assert np.all(np.isnan(lam[~ok]))
+    assert np.abs(lam[ok] - want[ok]).max() <= 1e-11
+    return status
+
+
+@pytest.mark.parametrize("name", IRREDUCIBLE)
+def test_matches_scalar_on_default_grid(name):
+    # pm1's small-mT corner stalls the scalar power iteration for up to ~1 s
+    # per cell, so it gets the coarser grid
+    status = _agree(M.builtin(name), (1e-2, 1e2), (1e-2, 1e3),
+                    8 if name == "pm1" else 16)
+    assert np.all(status == "ok")
+
+
+def test_matches_scalar_on_reducible_sweep():
+    status = _agree(M.builtin("unidir_favorable"), (0.05, 10.0),
+                    (0.1, 200.0), 32)
+    assert (status == "non_positive_monodromy").sum() == 7
+    assert not (status == "error").any()
+
+
+def test_grid_larger_than_a_block_matches_its_rows():
+    mdl = M.builtin("abc_two_patch")
+    mv, Tv = np.geomspace(1e-2, 1e2, 40), np.geomspace(1e-2, 1e3, 40)
+    assert mv.size * Tv.size > D._BLOCK_CELLS
+    lam, status = D.growth_rates(mdl, mv[:, None], Tv[None, :])
+    assert np.all(status == "ok")
+    rows = np.array([D.growth_rates(mdl, m, Tv)[0] for m in mv])
+    assert np.array_equal(lam, rows)
+
+
+def test_smooth_schedule_goes_cell_by_cell():
+    growth = M.PeriodicMatrixFunction.from_sampler(
+        2, lambda tau: np.diag([np.cos(2 * np.pi * tau) - 0.5,
+                                -np.cos(2 * np.pi * tau) - 0.5]), [0.0])
+    migration = M.PeriodicMatrixFunction.constant([[-1.0, 1.0], [1.0, -1.0]])
+    mdl = M.validated(M.PatchModel(2, growth, migration))
+    lam, status = D.growth_rates(mdl, [0.5, 2.0], 3.0)
+    assert list(status) == ["ok", "ok"]
+    for m, value in zip((0.5, 2.0), lam):
+        assert value == D.growth_rate(mdl, ModelParameters(m, 3.0)).lam
+
+
+def test_scaling_breakdown_is_an_error_cell():
+    # T * A overflows to inf in one cell; growth_rate raises there too
+    lam, status = D.growth_rates(M.builtin("ab1"), 1.0, [1.0, 1e308])
+    assert list(status) == ["ok", "error"]
+    assert np.isfinite(lam[0]) and np.isnan(lam[1])
+    with np.errstate(over="ignore"), pytest.raises(OverflowError):
+        D.growth_rate(M.builtin("ab1"), ModelParameters(1.0, 1e308))
+
+
+def test_rejects_nonpositive_m_and_T():
+    mdl = M.builtin("ab1")
+    with pytest.raises(ValueError):
+        D.growth_rates(mdl, [1.0, 0.0], 1.0)
+    with pytest.raises(ValueError):
+        D.growth_rates(mdl, 1.0, [1.0, -2.0])
+
+
+def test_raise_for_status_maps_to_scalar_errors():
+    D.raise_for_status(np.array(["ok", "ok"], dtype=object))
+    with pytest.raises(D.NonPositiveMonodromy):
+        D.raise_for_status(np.array(["ok", "non_positive_monodromy"],
+                                    dtype=object))
+    with pytest.raises(D.IntegrationFailure):
+        D.raise_for_status("error")
+
+
+_log_point = st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 3.0))
+
+
+@settings(max_examples=25, deadline=None)
+@given(name=st.sampled_from(["ab1", "abc_two_patch", "three_patch_circular",
+                             "unidir_favorable"]),
+       point=_log_point,
+       others=st.lists(_log_point, min_size=1, max_size=12),
+       data=st.data())
+def test_cell_is_independent_of_its_batch(name, point, others, data):
+    mdl = M.builtin(name)
+    pts = 10.0 ** np.array([point] + others)
+    order = data.draw(st.permutations(range(len(pts))))
+    alone, alone_status = D.growth_rates(mdl, pts[:1, 0], pts[:1, 1])
+    lam, status = D.growth_rates(mdl, pts[order, 0], pts[order, 1])
+    k = order.index(0)
+    assert status[k] == alone_status[0]
+    assert np.array_equal(lam[k:k + 1], alone, equal_nan=True)
