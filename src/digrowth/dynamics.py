@@ -106,6 +106,8 @@ def _scale_norm(A: np.ndarray) -> float:
 def _expm_scaled(A: np.ndarray) -> tuple[np.ndarray, float]:
     """(E, l) with e^A = e^l * E and E kept at unit max-entry scale."""
     nrm = _scale_norm(A)
+    if not math.isfinite(nrm):
+        raise IntegrationFailure("matrix exponential scaling broke down")
     j = max(0, math.ceil(math.log2(nrm / _STEP_BUDGET))) if nrm > _STEP_BUDGET else 0
     E = expm(A / 2 ** j)
     l = 0.0

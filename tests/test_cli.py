@@ -148,3 +148,13 @@ def test_reproduce_slow_curve(capsys, tmp_path):
     data = np.loadtxt(csv_path, delimiter=",", skiprows=1)
     # simplex rows and a bounded gap to the slow curve away from layers
     assert np.abs(data[:, 1:4].sum(axis=1) - 1.0).max() <= 1e-9
+
+
+def test_lambda_overflowing_period_is_a_numerical_error(capsys):
+    # T * A overflows to inf: a typed error and exit 1, not a traceback
+    with np.errstate(over="ignore"):
+        code, out, err = run(capsys, "lambda", "ab1", "--m", "1",
+                             "--T", "1e308")
+    assert code == 1
+    assert out == ""
+    assert json.loads(err)["error"] == "numerical"

@@ -1,7 +1,11 @@
 """Spectral primitives against dense linear-algebra references."""
 
+import itertools
+
 import numpy as np
 import pytest
+import scipy.linalg
+from scipy.sparse.csgraph import connected_components
 
 from digrowth import spectral as S
 
@@ -11,6 +15,69 @@ def test_expm_matches_series():
     t = 0.7
     expected = np.array([[np.cos(t), np.sin(t)], [-np.sin(t), np.cos(t)]])
     assert np.allclose(S.expm(t * A), expected, atol=1e-12)
+
+
+def _expm_test_stack(rng, n):
+    """Diagonal, triangular, zero and tiny-norm matrices, then Metzler
+    matrices with 1-norms up to 12, past both theta_13 and the growth-rate
+    kernel's step budget of 10."""
+    diag = [np.diag(rng.uniform(-10.0, 10.0, n)) for _ in range(4)]
+    tri = [np.triu(rng.uniform(-3.0, 3.0, (n, n))) for _ in range(4)]
+    tri += [t.T for t in tri]
+    special = diag + tri + [np.zeros((n, n)), np.full((n, n), 1e-300),
+                            1e-9 * rng.uniform(-1.0, 1.0, (n, n))]
+    metzler = rng.uniform(0.0, 1.0, (200, n, n))
+    for A in metzler:
+        np.fill_diagonal(A, rng.uniform(-3.0, 1.0, n))
+    norms = np.concatenate([rng.uniform(0.0, 10.0, 190),
+                            [5.37, 5.38, 6.0, 8.0, 9.9, 10.0, 10.5, 11.0,
+                             11.5, 12.0]])
+    metzler *= (norms / np.abs(metzler).sum(axis=1).max(axis=1))[:, None, None]
+    return np.concatenate([np.array(special), metzler])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_expm_stack_matches_scipy(rng, n):
+    # against a 40-digit reference, scipy's expm errs by up to about 1.5e-12
+    # of the max entry at 1-norms 10 to 20 and Pade-13 by under 3e-14, so
+    # the bound is set by scipy's own error
+    A = _expm_test_stack(rng, n)
+    E = S.expm(A)
+    assert E.shape == A.shape
+    for a, e in zip(A, E):
+        ref = scipy.linalg.expm(a)
+        assert np.abs(e - ref).max() <= 3e-12 * np.abs(ref).max()
+
+
+def test_expm_stack_exact_cases(rng):
+    zero = S.expm(np.zeros((3, 3, 3)))
+    assert np.abs(zero - np.eye(3)).max() <= np.finfo(float).eps
+    d = rng.uniform(-30.0, 30.0, (50, 3))
+    E = S.expm(np.stack([np.diag(x) for x in d]))
+    assert np.allclose(np.diagonal(E, axis1=1, axis2=2), np.exp(d),
+                       rtol=1e-13, atol=0.0)
+    assert np.all(E[:, ~np.eye(3, dtype=bool)] == 0.0)
+    # symmetric: Q diag(e^w) Q^T from the symmetric eigensolver is accurate
+    # to a few ulps of the max entry at any norm
+    B = rng.uniform(-1.0, 1.0, (50, 4, 4)) * rng.uniform(0.0, 20.0, (50, 1, 1))
+    B = B + B.transpose(0, 2, 1)
+    w, Q = np.linalg.eigh(B)
+    ref = (Q * np.exp(w)[:, None, :]) @ Q.transpose(0, 2, 1)
+    scale = np.abs(ref).max(axis=(1, 2))
+    assert np.all(np.abs(S.expm(B) - ref).max(axis=(1, 2)) <= 1e-13 * scale)
+
+
+def test_expm_stack_slices_are_batch_independent(rng):
+    A = np.concatenate([_expm_test_stack(rng, 3),
+                        50.0 * rng.uniform(-1.0, 1.0, (8, 3, 3))])
+    E = S.expm(A)
+    for c in range(len(A)):
+        assert np.array_equal(E[c], S.expm(A[c:c + 1])[0])
+
+
+def test_expm_empty_stack():
+    E = S.expm(np.zeros((0, 3, 3)))
+    assert E.shape == (0, 3, 3)
 
 
 def test_perron_positive_matches_dense(rng):
@@ -80,3 +147,23 @@ def test_is_irreducible():
     # entries at the structural-zero threshold do not count as edges
     tiny = np.array([[-1e-15, 1e-15], [1e-15, -1e-15]])
     assert not S.is_irreducible(tiny)
+
+
+def test_is_irreducible_matches_connected_components(rng):
+    # every off-diagonal 0/1 pattern for n <= 4, with absent edges written
+    # as 0 or as entries at tol, which do not count as edges
+    tol = 1e-14
+    checked = 0
+    for n in range(1, 5):
+        off = ~np.eye(n, dtype=bool)
+        for bits in itertools.product((False, True), repeat=n * (n - 1)):
+            adj = np.zeros((n, n), dtype=bool)
+            adj[off] = bits
+            A = np.where(adj, rng.uniform(0.1, 2.0, (n, n)),
+                         np.where(rng.random((n, n)) < 0.5, tol, 0.0))
+            np.fill_diagonal(A, rng.uniform(-2.0, 0.0, n))
+            ncomp, _ = connected_components(adj, directed=True,
+                                            connection="strong")
+            assert S.is_irreducible(A, tol=tol) == (ncomp == 1), A
+            checked += 1
+    assert checked == 4165
