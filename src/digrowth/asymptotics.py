@@ -14,8 +14,7 @@ The four one-sided limits and four corner values:
 plus the threshold chi = int_0^1 max_i r_i(tau) dtau, the critical migration
 rate m* solving Lambda(m, inf) = 0 when it exists, two-patch closed forms,
 and an empirical convexity/monotonicity report for the two limit curves.
-All integrals are evaluated exactly segment-by-segment for piecewise-constant
-schedules, and by composite 64-node Gauss-Legendre otherwise.
+All integrals are exact sums over the model's segments.
 """
 
 from __future__ import annotations
@@ -25,9 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import merged_segments
-from .model import Kind, PatchModel, _segment_quadrature
-from .spectral import (is_irreducible, kernel_vector, perron_frobenius_metzler,
-                       spectral_abscissa)
+from .model import PatchModel
+from .spectral import is_irreducible, kernel_vector, spectral_abscissa
 
 M_STAR_BRACKET = (1e-6, 100.0)
 M_STAR_MAXITER = 200
@@ -50,41 +48,23 @@ class WrongDimension(AsymptoticsError):
     pass
 
 
-def _lam_max(A: np.ndarray) -> float:
-    if is_irreducible(A):
-        lam, _ = perron_frobenius_metzler(A)
-        return lam
-    return spectral_abscissa(A)
-
-
 def chi(model: PatchModel) -> float:
     """Period average of the pointwise best growth rate max_i r_i(tau)."""
     g = model.growth
-    if g.kind is Kind.PIECEWISE_CONSTANT:
-        w = g.widths()
-        return float(sum(wk * np.diag(M).max() for wk, M in zip(w, g.matrices)))
-    return float(_segment_quadrature(g, lambda M: np.diag(M).max()))
+    w = g.widths()
+    return float(sum(wk * np.diag(M).max() for wk, M in zip(w, g.matrices)))
 
 
 def limit_T0(model: PatchModel, m: float) -> float:
     """Fast regime: spectral abscissa of the period-averaged matrix."""
     A = model.growth.average() + m * model.migration.average()
-    return _lam_max(A)
+    return spectral_abscissa(A)
 
 
 def limit_Tinf(model: PatchModel, m: float) -> float:
     """Slow regime: period average of the pointwise spectral abscissa."""
-    if (model.growth.kind is Kind.PIECEWISE_CONSTANT
-            and model.migration.kind is Kind.PIECEWISE_CONSTANT):
-        _, widths, mats = merged_segments(model, m)
-        return float(sum(w * _lam_max(A) for w, A in zip(widths, mats)))
-    from .model import PeriodicMatrixFunction
-    breaks = sorted(set(model.growth.breaks) | set(model.migration.breaks))
-    merged = PeriodicMatrixFunction.from_sampler(
-        model.n,
-        lambda t: model.growth.value(t) + m * model.migration.value(t),
-        breaks)
-    return float(_segment_quadrature(merged, _lam_max))
+    _, widths, mats = merged_segments(model, m)
+    return float(sum(w * spectral_abscissa(A) for w, A in zip(widths, mats)))
 
 
 def limit_m0(model: PatchModel) -> float:
@@ -98,30 +78,14 @@ def limit_minf(model: PatchModel) -> float:
     Needs every migration segment irreducible so its kernel direction p(tau)
     is well defined and positive.
     """
-    mig, g = model.migration, model.growth
-    if (mig.kind is Kind.PIECEWISE_CONSTANT
-            and g.kind is Kind.PIECEWISE_CONSTANT):
-        breaks, widths, _ = merged_segments(model, 1.0)
-        total = 0.0
-        for b, w in zip(breaks, widths):
-            L = mig.value(b)
-            if not is_irreducible(L):
-                raise ReducibleSegment(
-                    "fast-migration limit needs irreducible migration")
-            total += w * float(kernel_vector(L) @ np.diag(g.value(b)))
-        return total
-    from .model import PeriodicMatrixFunction
-    breaks = sorted(set(g.breaks) | set(mig.breaks))
-
-    def f(tau):
-        L = mig.value(tau)
+    seg = model.segments
+    total = 0.0
+    for w, R, L in zip(seg.widths, seg.R, seg.L):
         if not is_irreducible(L):
             raise ReducibleSegment(
                 "fast-migration limit needs irreducible migration")
-        return np.array([[kernel_vector(L) @ model.rates(tau)]])
-
-    merged = PeriodicMatrixFunction.from_sampler(1, f, breaks)
-    return float(merged.average()[0, 0])
+        total += w * float(kernel_vector(L) @ np.diag(R))
+    return total
 
 
 def corners(model: PatchModel) -> dict[str, float]:
@@ -192,21 +156,10 @@ def two_patch_closed_forms(model: PatchModel, m: float) -> dict[str, float]:
                      + np.sqrt(_two_patch_D(rbar[0], rbar[1], l21b, l12b, m)))
               - 0.5 * m * (l12b + l21b))
 
-    def sqrtD_of(tau):
-        r = model.rates(tau)
-        L = model.migration.value(tau)
-        return np.sqrt(_two_patch_D(r[0], r[1], L[1, 0], L[0, 1], m))
-
-    if (model.growth.kind is Kind.PIECEWISE_CONSTANT
-            and model.migration.kind is Kind.PIECEWISE_CONSTANT):
-        breaks, widths, _ = merged_segments(model, m)
-        integral = sum(w * sqrtD_of(b) for b, w in zip(breaks, widths))
-    else:
-        from .model import PeriodicMatrixFunction
-        breaks = sorted(set(model.growth.breaks) | set(model.migration.breaks))
-        f = PeriodicMatrixFunction.from_sampler(
-            1, lambda t: np.array([[sqrtD_of(t)]]), breaks)
-        integral = float(f.average()[0, 0])
+    seg = model.segments
+    integral = sum(
+        w * np.sqrt(_two_patch_D(R[0, 0], R[1, 1], L[1, 0], L[0, 1], m))
+        for w, R, L in zip(seg.widths, seg.R, seg.L))
     lam_Tinf = (0.5 * (rbar[0] + rbar[1] + integral)
                 - 0.5 * m * (l12b + l21b))
     return {"lambda_T0": float(lam_T0), "lambda_Tinf": float(lam_Tinf)}
@@ -254,10 +207,8 @@ class LimitPanel:
     chi: float
     lambda_00: float
     lambda_inf0: float
-    lambda_0inf: float
     lambda_infinf: float
     lambda_0T: float
-    lambda_infT: float
     m_star: float | None
     infimum: float | None
     lambda_m_T0: float | None = None  # Lambda(m, 0) at a requested m
@@ -279,10 +230,8 @@ def limit_panel(model: PatchModel, m: float | None = None) -> LimitPanel:
         chi=chi(model),
         lambda_00=c["lambda_00"],
         lambda_inf0=c["lambda_inf0"],
-        lambda_0inf=c["lambda_0inf"],
         lambda_infinf=c["lambda_infinf"],
         lambda_0T=limit_m0(model),
-        lambda_infT=c["lambda_infinf"],
         m_star=ms,
         infimum=inf_val,
         lambda_m_T0=None if m is None else limit_T0(model, m),

@@ -132,7 +132,7 @@ def _cmd_lambda(args) -> int:
     params = model_mod.ModelParameters(m=args.m, T=args.T)
     res = dynamics.growth_rate(mdl, params)
     out = {"lambda": res.lam, "mu": res.mu, "pi": list(res.pi),
-           "method": res.method, "cross_checks": {}}
+           "method": "ExponentialProduct", "cross_checks": {}}
     if args.check_integral:
         out["cross_checks"]["integral"] = abs(
             res.lam - dynamics.growth_rate_integral(mdl, params))
@@ -150,10 +150,10 @@ def _cmd_limits(args) -> int:
         "chi": panel.chi,
         "corners": {"lambda_00": panel.lambda_00,
                     "lambda_inf0": panel.lambda_inf0,
-                    "lambda_0inf": panel.lambda_0inf,
+                    "lambda_0inf": panel.chi,
                     "lambda_infinf": panel.lambda_infinf},
         "lambda_0T": panel.lambda_0T,
-        "lambda_infT": panel.lambda_infT,
+        "lambda_infT": panel.lambda_infinf,
         "m_star": panel.m_star,
         "infimum": panel.infimum,
     }

@@ -3,9 +3,8 @@ periodic simplex solution.
 
 The linear system dx/dt = (R(t/T) + m L(t/T)) x is resolved over one period
 into the monodromy matrix Phi(T); the growth rate is Lambda = ln(mu)/T with mu
-the Perron root of Phi(T).  For piecewise-constant schedules Phi(T) is an
-exact ordered product of segment exponentials; piecewise-smooth schedules fall
-back to fixed-step RK4 aligned to breakpoints.  All internal products carry a
+the Perron root of Phi(T).  Phi(T) is the exact ordered product of the
+exponentials of the model's merged segments.  All internal products carry a
 separate log-scale factor so that nothing overflows even when Lambda*T is in
 the thousands.  ``growth_rates`` evaluates Lambda over whole arrays of
 (m, T) in stacked passes, for sweeps and scans.
@@ -25,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Kind, ModelParameters, PatchModel, ValidationStatus
+from .model import ModelParameters, PatchModel, ValidationStatus
 from .spectral import expm, perron_frobenius_metzler, perron_positive
 
 RK4_MIN_STEPS = 2_000
@@ -65,8 +64,6 @@ class GrowthResult:
     lam: float           # growth rate Lambda(m, T)
     mu: float            # Perron root of Phi(T); inf if e^{Lambda T} overflows
     pi: np.ndarray       # Perron vector, unit sum
-    method: str          # "ExponentialProduct" | "IntegratedFundamental"
-    cross_check: float | None = None
 
 
 @dataclass(frozen=True)
@@ -84,23 +81,23 @@ class SlowCurveReport:
     n_compared: int
 
 
-def _is_pwc(model: PatchModel) -> bool:
-    return (model.growth.kind is Kind.PIECEWISE_CONSTANT
-            and model.migration.kind is Kind.PIECEWISE_CONSTANT)
+def merged_segments(model: PatchModel, m):
+    """(breaks, widths, A) of the model's segments, A_k = R_k + m L_k.
 
-
-def merged_segments(model: PatchModel, m: float):
-    """Common breakpoint refinement with A_k = R_k + m L_k per segment."""
-    breaks = sorted(set(model.growth.breaks) | set(model.migration.breaks))
-    mats = []
-    for tau in breaks:
-        mats.append(model.growth.value(tau) + m * model.migration.value(tau))
-    widths = np.diff(np.array(breaks + [1.0]))
-    return np.array(breaks), widths, mats
+    For a scalar m, A has shape (K, n, n); for a 1-D array of m values it
+    has shape (K, len(m), n, n).
+    """
+    seg = model.segments
+    m = np.asarray(m, dtype=float)
+    axes = tuple(range(1, 1 + m.ndim))
+    A = (np.expand_dims(seg.R, axes)
+         + m[..., None, None] * np.expand_dims(seg.L, axes))
+    return seg.breaks, seg.widths, A
 
 
 def _scale_norm(A: np.ndarray) -> float:
-    return float(np.abs(A).sum(axis=0).max())
+    with np.errstate(over="ignore"):  # an infinite norm is caught by callers
+        return float(np.abs(A).sum(axis=0).max())
 
 
 def _expm_scaled(A: np.ndarray) -> tuple[np.ndarray, float]:
@@ -126,8 +123,8 @@ def _expm_scaled(A: np.ndarray) -> tuple[np.ndarray, float]:
     return E, l
 
 
-def _monodromy_scaled_product(model: PatchModel,
-                              params: ModelParameters) -> tuple[np.ndarray, float]:
+def _monodromy_scaled(model: PatchModel,
+                      params: ModelParameters) -> tuple[np.ndarray, float]:
     _, widths, mats = merged_segments(model, params.m)
     M = np.eye(model.n)
     logscale = 0.0
@@ -144,29 +141,21 @@ def _monodromy_scaled_product(model: PatchModel,
 def _monodromy_scaled_rk4(model: PatchModel, params: ModelParameters,
                           steps: int = RK4_MIN_STEPS) -> tuple[np.ndarray, float]:
     """Fundamental matrix over one period by classical RK4 on
-    dX/dtau = T A(tau) X, steps aligned to breakpoints, renormalized as it goes.
+    dX/dtau = T A_k X, max(1, ceil(steps * w_k)) steps per segment,
+    renormalized as it goes.
     """
-    breaks = sorted(set(model.growth.breaks) | set(model.migration.breaks))
-    widths = np.diff(np.array(breaks + [1.0]))
+    _, widths, mats = merged_segments(model, params.m)
     X = np.eye(model.n)
     logscale = 0.0
-    T = params.T
-
-    def A(tau):
-        return model.growth.value(tau) + params.m * model.migration.value(tau)
-
-    for b, w in zip(breaks, widths):
+    for w, A in zip(widths, mats):
+        TA = params.T * A
         nsteps = max(1, math.ceil(steps * w))
         h = w / nsteps
-        for k in range(nsteps):
-            t0 = b + k * h
-            A1 = T * A(t0)
-            A2 = T * A(t0 + 0.5 * h)
-            A4 = T * A(t0 + h - 1e-14 * max(1.0, abs(t0 + h)))
-            k1 = A1 @ X
-            k2 = A2 @ (X + 0.5 * h * k1)
-            k3 = A2 @ (X + 0.5 * h * k2)
-            k4 = A4 @ (X + h * k3)
+        for _ in range(nsteps):
+            k1 = TA @ X
+            k2 = TA @ (X + 0.5 * h * k1)
+            k3 = TA @ (X + 0.5 * h * k2)
+            k4 = TA @ (X + h * k3)
             X = X + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             c = np.abs(X).max()
             if not np.isfinite(c) or c <= 0.0:
@@ -175,13 +164,6 @@ def _monodromy_scaled_rk4(model: PatchModel, params: ModelParameters,
                 X /= c
                 logscale += math.log(c)
     return X, logscale
-
-
-def _monodromy_scaled(model: PatchModel,
-                      params: ModelParameters) -> tuple[np.ndarray, float]:
-    if _is_pwc(model):
-        return _monodromy_scaled_product(model, params)
-    return _monodromy_scaled_rk4(model, params)
 
 
 def _certify(model: PatchModel, M: np.ndarray) -> None:
@@ -201,8 +183,7 @@ def monodromy(model: PatchModel, params: ModelParameters) -> np.ndarray:
     return M * math.exp(logscale) if logscale < 700.0 else M * np.exp(logscale)
 
 
-def growth_rate(model: PatchModel, params: ModelParameters,
-                check_integral: bool = False) -> GrowthResult:
+def growth_rate(model: PatchModel, params: ModelParameters) -> GrowthResult:
     """Lambda(m, T) = ln(mu)/T from the Perron root mu of Phi(T)."""
     if params.m <= 0.0:
         raise ValueError("growth_rate needs m > 0; use the m->0 limit instead")
@@ -213,12 +194,8 @@ def growth_rate(model: PatchModel, params: ModelParameters,
         raise NonPositiveMonodromy("monodromy has no positive dominant root")
     log_mu = logscale + math.log(lam_M)
     value = log_mu / params.T
-    method = "ExponentialProduct" if _is_pwc(model) else "IntegratedFundamental"
-    cross = None
-    if check_integral:
-        cross = abs(value - growth_rate_integral(model, params))
     mu = math.exp(log_mu) if log_mu < 709.0 else math.inf
-    return GrowthResult(lam=value, mu=mu, pi=pi, method=method, cross_check=cross)
+    return GrowthResult(lam=value, mu=mu, pi=pi)
 
 
 # ---------------------------------------------------------------------------
@@ -266,11 +243,11 @@ def _expm_scaled_stack(A: np.ndarray) -> tuple[np.ndarray, np.ndarray,
     return E, l, broken
 
 
-def _growth_rates_product(model: PatchModel, m: np.ndarray,
-                          T: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Exponential-product path of ``growth_rates`` on flat m and T."""
+def _growth_rates_block(model: PatchModel, m: np.ndarray,
+                        T: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``growth_rates`` on flat m and T."""
     n, size = model.n, len(m)
-    _, widths, mats = merged_segments(model, m[:, None, None])
+    _, widths, mats = merged_segments(model, m)
     M = np.broadcast_to(np.eye(n), (size, n, n)).copy()
     logscale = np.zeros(size)
     broken = np.zeros(size, dtype=bool)
@@ -302,23 +279,6 @@ def _growth_rates_product(model: PatchModel, m: np.ndarray,
     return lam, status
 
 
-def _growth_rates_cellwise(model: PatchModel, m: np.ndarray,
-                           T: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``growth_rates`` one ``growth_rate`` call per cell, for schedules
-    without an exponential product."""
-    lam = np.full(len(m), np.nan)
-    status = np.full(len(m), "ok", dtype=object)
-    for k, (mk, Tk) in enumerate(zip(m, T)):
-        try:
-            lam[k] = growth_rate(model, ModelParameters(float(mk),
-                                                        float(Tk))).lam
-        except NonPositiveMonodromy:
-            status[k] = "non_positive_monodromy"
-        except IntegrationFailure:
-            status[k] = "error"
-    return lam, status
-
-
 def growth_rates(model: PatchModel, m, T) -> tuple[np.ndarray, np.ndarray]:
     """Lambda(m, T) over the broadcast of the arrays m and T, with a status
     per cell.
@@ -326,10 +286,11 @@ def growth_rates(model: PatchModel, m, T) -> tuple[np.ndarray, np.ndarray]:
     A status is "ok", "non_positive_monodromy" where ``growth_rate`` raises
     NonPositiveMonodromy, or "error" where the scaled exponentials or their
     product break down; Lambda is NaN where the status is not "ok".  Cells
-    go in blocks of _BLOCK_CELLS.  Per block the merged segments are built
-    once; each cell's exponentials are scaled and squared as in
-    ``_expm_scaled`` and multiplied in order with their own log-scale, and
-    the Perron root is the dominant eigenvalue from one stacked dense solve.
+    go in blocks of _BLOCK_CELLS.  Per block the segment matrices
+    A_k = R_k + m L_k of all cells are formed at once; each cell's
+    exponentials are scaled and squared as in ``_expm_scaled`` and
+    multiplied in order with their own log-scale, and the Perron root is
+    the dominant eigenvalue from one stacked dense solve.
     A cell's value does not depend on the other cells of the batch.  Any
     other exception propagates.
     """
@@ -342,8 +303,8 @@ def growth_rates(model: PatchModel, m, T) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("growth_rates needs finite T > 0")
     shape = m.shape
     m, T = m.ravel(), T.ravel()
-    rates = _growth_rates_product if _is_pwc(model) else _growth_rates_cellwise
-    blocks = [rates(model, m[s:s + _BLOCK_CELLS], T[s:s + _BLOCK_CELLS])
+    blocks = [_growth_rates_block(model, m[s:s + _BLOCK_CELLS],
+                                  T[s:s + _BLOCK_CELLS])
               for s in range(0, max(m.size, 1), _BLOCK_CELLS)]
     lam = np.concatenate([b[0] for b in blocks]).reshape(shape)
     status = np.concatenate([b[1] for b in blocks]).reshape(shape)
@@ -411,8 +372,6 @@ def _theta_star_segments(model: PatchModel, params: ModelParameters,
     Returns (segments, defect) where each segment is (taus, thetas, A_k) and
     thetas has one row per grid node including both segment endpoints.
     """
-    if not _is_pwc(model):
-        return _theta_star_segments_rk4(model, params, resolution)
     res = growth_rate(model, params)
     breaks, widths, mats, counts = _segment_grid(model, params, resolution)
     theta = res.pi.copy()
@@ -428,48 +387,6 @@ def _theta_star_segments(model: PatchModel, params: ModelParameters,
             theta /= theta.sum()
             thetas[j + 1] = theta
         segments.append((taus, thetas, A))
-    defect = float(np.abs(theta - res.pi).max())
-    return segments, defect
-
-
-def _simplex_rhs(A, theta):
-    v = A @ theta
-    return v - v.sum() * theta
-
-
-def _theta_star_segments_rk4(model: PatchModel, params: ModelParameters,
-                             resolution: int):
-    res = growth_rate(model, params)
-    breaks = sorted(set(model.growth.breaks) | set(model.migration.breaks))
-    widths = np.diff(np.array(breaks + [1.0]))
-    theta = res.pi.copy()
-    T = params.T
-    segments = []
-    for b, w in zip(breaks, widths):
-        nk = max(8, int(math.ceil(resolution * w)))
-        nk += nk % 2
-        h = w / nk
-        taus = b + h * np.arange(nk + 1)
-        thetas = np.empty((nk + 1, model.n))
-        thetas[0] = theta
-        for j in range(nk):
-            t0 = taus[j]
-            A1 = T * (model.growth.value(t0)
-                      + params.m * model.migration.value(t0))
-            Amid = T * (model.growth.value(t0 + 0.5 * h)
-                        + params.m * model.migration.value(t0 + 0.5 * h))
-            k1 = _simplex_rhs(A1, theta)
-            k2 = _simplex_rhs(Amid, theta + 0.5 * h * k1)
-            k3 = _simplex_rhs(Amid, theta + 0.5 * h * k2)
-            k4 = _simplex_rhs(A1 if j + 1 == nk else
-                              T * (model.growth.value(taus[j + 1])
-                                   + params.m * model.migration.value(taus[j + 1])),
-                              theta + h * k3)
-            theta = theta + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-            theta = theta / theta.sum()
-            thetas[j + 1] = theta
-        segments.append((taus, thetas,
-                         model.growth.value(b) + params.m * model.migration.value(b)))
     defect = float(np.abs(theta - res.pi).max())
     return segments, defect
 
@@ -496,9 +413,6 @@ def propagate_simplex(model: PatchModel, params: ModelParameters,
     Used to exhibit global asymptotic stability of theta*: arbitrary starts
     contract onto the periodic solution.
     """
-    if not _is_pwc(model):
-        raise IntegrationFailure("propagate_simplex supports piecewise-constant "
-                                 "models only")
     breaks, widths, mats, counts = _segment_grid(model, params, grid_resolution)
     props = []
     for w, A, nk in zip(widths, mats, counts):
@@ -525,16 +439,10 @@ def growth_rate_integral(model: PatchModel, params: ModelParameters,
     """Lambda via the integral of r(tau) . theta*(T tau) over one period."""
     segments, _ = _theta_star_segments(model, params, grid_resolution)
     total = 0.0
-    for taus, thetas, _A in segments:
+    for (taus, thetas, _A), R in zip(segments, model.segments.R):
         nk = len(taus) - 1
         h = taus[1] - taus[0]
-        if model.growth.kind is Kind.PIECEWISE_CONSTANT:
-            rates = np.broadcast_to(model.rates(taus[0]), thetas.shape)
-        else:
-            # clamp the right endpoint inside the segment (left limit)
-            pts = np.minimum(taus, taus[-1] - 1e-14)
-            rates = np.array([model.rates(t) for t in pts])
-        g = (rates * thetas).sum(axis=1)
+        g = (np.diag(R) * thetas).sum(axis=1)
         total += _simpson_weights(nk, h) @ g
     return float(total)
 

@@ -1,11 +1,11 @@
 """Periodic patch models: growth/migration schedules, validation, catalog, I/O.
 
-A patch model couples n habitat patches through a 1-periodic, piecewise-defined
+A patch model couples n habitat patches through a 1-periodic, piecewise-constant
 diagonal growth schedule R(tau) and a Metzler migration schedule L(tau) whose
-columns sum to zero.  Both schedules are represented by
-:class:`PeriodicMatrixFunction`, either as an exact piecewise-constant list of
-segments (the common case, enabling closed-form propagators) or as a sampled
-piecewise-smooth callback.
+columns sum to zero.  Each schedule is a :class:`PeriodicMatrixFunction`, a
+list of segments with one matrix each.  The common refinement of the two
+schedules is computed once per model as its :class:`Segments`, which every
+evaluation of the growth rate and its limits iterates.
 
 The module also ships a catalog of built-in models (two- and three-patch
 examples with exactly rational entries) and a JSON file format with round-trip
@@ -19,6 +19,7 @@ from collections.abc import Callable, Sequence
 from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -49,11 +50,6 @@ class ParseError(ModelError):
 
 class UnknownModel(ModelError):
     pass
-
-
-class Kind(Enum):
-    PIECEWISE_CONSTANT = "piecewise_constant"
-    PIECEWISE_SMOOTH = "piecewise_smooth"
 
 
 class ValidationStatus(Enum):
@@ -103,19 +99,15 @@ def _as_breaks(breaks: Sequence[float]) -> tuple[float, ...]:
 
 @dataclass(frozen=True)
 class PeriodicMatrixFunction:
-    """1-periodic matrix-valued function, piecewise constant or sampled.
+    """1-periodic piecewise-constant matrix-valued function.
 
-    Piecewise constant: ``matrices[k]`` holds on ``[breaks[k], breaks[k+1])``
-    (right-continuous, last segment wraps to 1).  Piecewise smooth: ``sampler``
-    is called with tau in [0, 1); ``breaks`` lists its discontinuity points so
-    integrators never step across one.
+    ``matrices[k]`` holds on ``[breaks[k], breaks[k+1])`` (right-continuous,
+    last segment wraps to 1).
     """
 
     n: int
-    kind: Kind
     breaks: tuple[float, ...]
-    matrices: tuple[np.ndarray, ...] | None = None
-    sampler: Callable[[float], np.ndarray] | None = None
+    matrices: tuple[np.ndarray, ...]
 
     @staticmethod
     def constant(M) -> "PeriodicMatrixFunction":
@@ -133,14 +125,7 @@ class PeriodicMatrixFunction:
             if M.shape != (n, n):
                 raise SchemaError("all segment matrices must be square, same size")
             M.setflags(write=False)
-        return PeriodicMatrixFunction(n=n, kind=Kind.PIECEWISE_CONSTANT,
-                                      breaks=b, matrices=mats)
-
-    @staticmethod
-    def from_sampler(n: int, sampler: Callable[[float], np.ndarray],
-                     breakpoints: Sequence[float] = (0.0,)) -> "PeriodicMatrixFunction":
-        return PeriodicMatrixFunction(n=n, kind=Kind.PIECEWISE_SMOOTH,
-                                      breaks=_as_breaks(breakpoints), sampler=sampler)
+        return PeriodicMatrixFunction(n=n, breaks=b, matrices=mats)
 
     @property
     def n_segments(self) -> int:
@@ -155,47 +140,36 @@ class PeriodicMatrixFunction:
         return int(np.searchsorted(self.breaks, tau, side="right") - 1)
 
     def value(self, tau: float) -> np.ndarray:
-        tau = tau % 1.0
-        if self.kind is Kind.PIECEWISE_CONSTANT:
-            return self.matrices[self.segment_index(tau)]
-        return np.asarray(self.sampler(tau), dtype=float)
+        return self.matrices[self.segment_index(tau)]
 
     def is_constant(self) -> bool:
-        if self.kind is not Kind.PIECEWISE_CONSTANT:
-            return False
         return all(np.array_equal(M, self.matrices[0]) for M in self.matrices[1:])
 
     def average(self) -> np.ndarray:
-        """Entrywise period average (exact in the piecewise-constant case)."""
-        if self.kind is Kind.PIECEWISE_CONSTANT:
-            w = self.widths()
-            return sum(wk * M for wk, M in zip(w, self.matrices))
-        return _segment_quadrature(self, lambda M: M)
+        """Entrywise period average, exact segment by segment."""
+        w = self.widths()
+        return sum(wk * M for wk, M in zip(w, self.matrices))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PeriodicMatrixFunction):
             return NotImplemented
-        if (self.n, self.kind, self.breaks) != (other.n, other.kind, other.breaks):
+        if (self.n, self.breaks) != (other.n, other.breaks):
             return False
-        if self.kind is Kind.PIECEWISE_SMOOTH:
-            return self.sampler is other.sampler
         return all(np.array_equal(a, b) for a, b in zip(self.matrices, other.matrices))
 
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(64)
+@dataclass(frozen=True)
+class Segments:
+    """Common breakpoint refinement of a model's two schedules.
 
+    On ``[breaks[k], breaks[k] + widths[k])`` the growth matrix is ``R[k]``
+    and the migration matrix ``L[k]``; ``R`` and ``L`` have shape (K, n, n).
+    """
 
-def _segment_quadrature(f: PeriodicMatrixFunction, transform):
-    """Composite 64-node Gauss-Legendre of ``transform(f(tau))`` over [0, 1)."""
-    total = None
-    starts = list(f.breaks)
-    ends = starts[1:] + [1.0]
-    for a, b in zip(starts, ends):
-        mid, half = 0.5 * (a + b), 0.5 * (b - a)
-        for x, w in zip(_GL_NODES, _GL_WEIGHTS):
-            val = w * half * np.asarray(transform(f.value(mid + half * x)))
-            total = val if total is None else total + val
-    return total
+    breaks: np.ndarray
+    widths: np.ndarray
+    R: np.ndarray
+    L: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -228,12 +202,25 @@ class PatchModel:
         if self.growth.n != self.n or self.migration.n != self.n:
             raise SchemaError("schedule dimensions disagree with n")
 
+    @cached_property
+    def segments(self) -> Segments:
+        """The merged segments of growth and migration, built once."""
+        breaks = sorted(set(self.growth.breaks) | set(self.migration.breaks))
+        seg = Segments(
+            breaks=np.array(breaks),
+            widths=np.diff(np.array(breaks + [1.0])),
+            R=np.array([self.growth.value(tau) for tau in breaks]),
+            L=np.array([self.migration.value(tau) for tau in breaks]))
+        for a in (seg.breaks, seg.widths, seg.R, seg.L):
+            a.setflags(write=False)
+        return seg
+
     def rates(self, tau: float) -> np.ndarray:
         """Growth-rate vector r(tau)."""
         return np.diag(self.growth.value(tau))
 
     def mean_rates(self) -> np.ndarray:
-        """Per-patch average growth rates (exact for piecewise constants)."""
+        """Per-patch average growth rates."""
         return np.diag(self.growth.average())
 
     def all_sinks(self) -> bool:
@@ -250,18 +237,9 @@ def validate(model: PatchModel) -> ValidationReport:
     """
     from .spectral import is_irreducible  # local import avoids a cycle
 
-    mig = model.migration
     issues: list[ValidationIssue] = []
-    if mig.kind is Kind.PIECEWISE_CONSTANT:
-        segs = list(enumerate(mig.matrices))
-    else:
-        # sample mid-segment; smooth schedules are only spot-checked
-        mids = [0.5 * (a + b) for a, b in
-                zip(mig.breaks, list(mig.breaks[1:]) + [1.0])]
-        segs = [(k, mig.value(t)) for k, t in enumerate(mids)]
-
     irreducible = True
-    for k, L in segs:
+    for k, L in enumerate(model.migration.matrices):
         off = L - np.diag(np.diag(L))
         bad = np.argwhere(off < 0.0)
         for i, j in bad:
@@ -465,13 +443,10 @@ def builtin(name: str, *args: float, **kwargs: float) -> PatchModel:
 
 
 # ---------------------------------------------------------------------------
-# JSON serialization (piecewise-constant models only)
+# JSON serialization
 # ---------------------------------------------------------------------------
 
 def to_dict(model: PatchModel) -> dict:
-    if (model.growth.kind is not Kind.PIECEWISE_CONSTANT
-            or model.migration.kind is not Kind.PIECEWISE_CONSTANT):
-        raise SchemaError("only piecewise-constant models are serializable")
     return {
         "version": SCHEMA_VERSION,
         "n": model.n,

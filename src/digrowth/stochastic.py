@@ -120,10 +120,6 @@ def stationary_distribution(env: MarkovEnvironment) -> np.ndarray:
     return kernel_vector(QT)
 
 
-def _lam_max(A: np.ndarray) -> float:
-    return spectral_abscissa(A)
-
-
 class _DwellFlow:
     """Applies x -> e^{A dt} x with the dominant exponent split off, so the
     returned pair (y, log_gain) satisfies e^{A dt} x = e^{log_gain} y with y
@@ -178,7 +174,7 @@ def simulate_lyapunov(env: MarkovEnvironment, m: float, T: float,
     n = env.n_patches
     if env.n_states == 1:
         # no switching: the exponent is exactly the spectral abscissa
-        return LyapunovEstimate(lambda_hat=_lam_max(env.matrix(0, m)),
+        return LyapunovEstimate(lambda_hat=spectral_abscissa(env.matrix(0, m)),
                                 stderr=1e-15, horizon=horizon,
                                 renormalizations=0, seed=seed)
     mu = stationary_distribution(env)
@@ -240,7 +236,8 @@ def stochastic_limits(env: MarkovEnvironment, m: float) -> dict:
     Abar = sum(float(w) * env.matrix(s, m) for s, w in enumerate(mu))
     rbar = sum(float(w) * env.rates[s] for s, w in enumerate(mu))
     Lbar = sum(float(w) * env.migrations[s] for s, w in enumerate(mu))
-    tinf = float(sum(w * _lam_max(env.matrix(s, m)) for s, w in enumerate(mu)))
+    tinf = float(sum(w * spectral_abscissa(env.matrix(s, m))
+                     for s, w in enumerate(mu)))
     chi = float(sum(w * env.rates[s].max() for s, w in enumerate(mu)))
     corners = {"lambda_0T": float(rbar.max()), "sup": chi}
     if is_irreducible(Lbar):
@@ -249,4 +246,5 @@ def stochastic_limits(env: MarkovEnvironment, m: float) -> dict:
         corners["lambda_infT"] = float(sum(
             w * (kernel_vector(env.migrations[s]) @ env.rates[s])
             for s, w in enumerate(mu)))
-    return {"T0": _lam_max(Abar), "Tinf": tinf, "chi": chi, "corners": corners}
+    return {"T0": spectral_abscissa(Abar), "Tinf": tinf, "chi": chi,
+            "corners": corners}

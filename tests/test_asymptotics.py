@@ -6,6 +6,7 @@ from conftest import random_model
 
 from digrowth import asymptotics as A
 from digrowth import model as M
+from digrowth.spectral import spectral_abscissa
 
 
 def test_chi_values():
@@ -119,7 +120,7 @@ def test_pointwise_lam_max_between_rate_extremes(rng):
         for tau in rng.uniform(0.0, 1.0, size=5):
             r = mdl.rates(float(tau))
             Amat = mdl.growth.value(float(tau)) + m * mdl.migration.value(float(tau))
-            lam = A._lam_max(Amat)
+            lam = spectral_abscissa(Amat)
             assert r.min() - 1e-10 <= lam <= r.max() + 1e-10
 
 

@@ -1,6 +1,7 @@
 """Command-line surface: parsing, output formats, exit codes."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ def test_lambda_with_cross_checks(capsys):
     assert doc["lambda"] == pytest.approx(np.log(doc["mu"]) / 5.0, abs=1e-12)
     assert doc["cross_checks"]["integral"] <= 1e-6
     assert doc["cross_checks"]["h_formula"] <= 1e-6
+    assert doc["method"] == "ExponentialProduct"
     assert len(doc["pi"]) == 2
 
 
@@ -38,7 +40,8 @@ def test_limits_near_m_star(capsys):
     doc = json.loads(out)
     assert abs(doc["lambda_m_Tinf"]) < 1e-6
     assert doc["m_star"] == pytest.approx(5.0 / 9.0, abs=1e-8)
-    assert doc["corners"]["lambda_0inf"] == 0.5
+    assert doc["corners"]["lambda_0inf"] == doc["chi"] == 0.5
+    assert doc["lambda_infT"] == doc["corners"]["lambda_infinf"]
 
 
 def test_validate_builtin_ok(capsys):
@@ -151,8 +154,10 @@ def test_reproduce_slow_curve(capsys, tmp_path):
 
 
 def test_lambda_overflowing_period_is_a_numerical_error(capsys):
-    # T * A overflows to inf: a typed error and exit 1, not a traceback
-    with np.errstate(over="ignore"):
+    # T * A overflows to inf: a typed error and exit 1, not a traceback, and
+    # no NumPy warning ahead of the one JSON object on stderr
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         code, out, err = run(capsys, "lambda", "ab1", "--m", "1",
                              "--T", "1e308")
     assert code == 1

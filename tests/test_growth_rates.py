@@ -66,18 +66,6 @@ def test_grid_larger_than_a_block_matches_its_rows():
     assert np.array_equal(lam, rows)
 
 
-def test_smooth_schedule_goes_cell_by_cell():
-    growth = M.PeriodicMatrixFunction.from_sampler(
-        2, lambda tau: np.diag([np.cos(2 * np.pi * tau) - 0.5,
-                                -np.cos(2 * np.pi * tau) - 0.5]), [0.0])
-    migration = M.PeriodicMatrixFunction.constant([[-1.0, 1.0], [1.0, -1.0]])
-    mdl = M.validated(M.PatchModel(2, growth, migration))
-    lam, status = D.growth_rates(mdl, [0.5, 2.0], 3.0)
-    assert list(status) == ["ok", "ok"]
-    for m, value in zip((0.5, 2.0), lam):
-        assert value == D.growth_rate(mdl, ModelParameters(m, 3.0)).lam
-
-
 def test_scaling_breakdown_is_an_error_cell():
     # T * A overflows to inf in one cell; growth_rate raises there too
     lam, status = D.growth_rates(M.builtin("ab1"), 1.0, [1.0, 1e308])

@@ -1,0 +1,98 @@
+"""Metamorphic properties of Lambda on random piecewise-constant models
+whose growth and migration schedules switch at different times, so every
+evaluation runs on a merged refinement of the two schedules."""
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from digrowth import dynamics as D
+from digrowth.model import PatchModel, PeriodicMatrixFunction, validated
+
+# breakpoints are multiples of 1/GRID: growth switches at multiples of 4/GRID
+# and migration at 2 mod 4, so the two schedules share only tau = 0, and a
+# phase shift by a multiple of 1/GRID maps breakpoints onto the grid exactly
+GRID = 40
+TOL = 1e-11
+
+
+def _schedule(starts, mats):
+    return PeriodicMatrixFunction.from_segments(
+        [s / GRID for s in starts], mats)
+
+
+def _migration(off, n):
+    L = np.zeros((n, n))
+    L[~np.eye(n, dtype=bool)] = off
+    return L - np.diag(L.sum(axis=0))
+
+
+@st.composite
+def schedules(draw):
+    """(n, growth, migration), each schedule a (starts, matrices) pair with
+    starts in units of 1/GRID."""
+    n = draw(st.sampled_from([2, 3]))
+    g_inner = draw(st.lists(st.integers(1, 9), unique=True, max_size=2))
+    m_inner = draw(st.lists(st.integers(0, 9), unique=True, min_size=1,
+                            max_size=2))
+    g_starts = [0] + sorted(4 * s for s in g_inner)
+    m_starts = [0] + sorted(4 * s + 2 for s in m_inner)
+    rate = st.floats(-2.0, 1.0)
+    flow = st.floats(0.1, 2.0)
+    growth = [np.diag(draw(st.lists(rate, min_size=n, max_size=n)))
+              for _ in g_starts]
+    migration = [_migration(draw(st.lists(flow, min_size=n * (n - 1),
+                                          max_size=n * (n - 1))), n)
+                 for _ in m_starts]
+    return n, (g_starts, growth), (m_starts, migration)
+
+
+def _model(n, growth, migration):
+    return validated(PatchModel(n, _schedule(*growth), _schedule(*migration)))
+
+
+def _lam(mdl, m, T):
+    lam, status = D.growth_rates(mdl, m, T)
+    assert np.all(status == "ok")
+    return lam
+
+
+points = st.tuples(st.floats(0.1, 5.0), st.floats(0.5, 20.0))
+
+
+@settings(max_examples=30, deadline=None)
+@given(spec=schedules(), point=points, c=st.floats(-3.0, 3.0))
+def test_rate_shift_shifts_lambda(spec, point, c):
+    n, (g_starts, growth), migration = spec
+    mdl = _model(*spec)
+    assert len(mdl.segments.widths) > len(g_starts)
+    shifted = _model(n, (g_starts, [R + c * np.eye(n) for R in growth]),
+                     migration)
+    assert abs(_lam(shifted, *point) - (_lam(mdl, *point) + c)) <= TOL
+
+
+@settings(max_examples=30, deadline=None)
+@given(spec=schedules(), point=points, data=st.data())
+def test_patch_permutation_leaves_lambda(spec, point, data):
+    n, (g_starts, growth), (m_starts, migration) = spec
+    p = np.array(data.draw(st.permutations(range(n))))
+    permuted = _model(n, (g_starts, [R[np.ix_(p, p)] for R in growth]),
+                      (m_starts, [L[np.ix_(p, p)] for L in migration]))
+    assert abs(_lam(permuted, *point) - _lam(_model(*spec), *point)) <= TOL
+
+
+def _rotate(starts, mats, shift):
+    """The schedule tau -> f(tau + shift / GRID), on the 1/GRID grid."""
+    rotated = {(s - shift) % GRID: M for s, M in zip(starts, mats)}
+    if 0 not in rotated:
+        # the segment that contains the new origin now starts there
+        rotated[0] = mats[max(k for k, s in enumerate(starts) if s <= shift)]
+    order = sorted(rotated)
+    return order, [rotated[s] for s in order]
+
+
+@settings(max_examples=30, deadline=None)
+@given(spec=schedules(), point=points, shift=st.integers(1, GRID - 1))
+def test_phase_rotation_leaves_lambda(spec, point, shift):
+    n, growth, migration = spec
+    rotated = _model(n, _rotate(*growth, shift), _rotate(*migration, shift))
+    assert abs(_lam(rotated, *point) - _lam(_model(*spec), *point)) <= TOL
