@@ -23,13 +23,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import search
 from .dynamics import merged_segments
 from .model import PatchModel
 from .spectral import is_irreducible, kernel_vector, spectral_abscissa
 
 M_STAR_BRACKET = (1e-6, 100.0)
 M_STAR_MAXITER = 200
-M_STAR_TOL = 1e-10
 
 
 class AsymptoticsError(Exception):
@@ -113,9 +113,12 @@ def m_star(model: PatchModel, bracket_max: float = M_STAR_BRACKET[1]
            ) -> float | None:
     """Unique root of m -> Lambda(m, inf), or None.
 
-    None covers both the precondition failures (some patch is not a sink, or
-    chi <= 0) and the genuine no-root case where the fast-migration value is
-    nonnegative, so growth persists for every m.
+    The root is found by ``search.illinois_roots`` on the bracket
+    [M_STAR_BRACKET[0], bracket_max], until Lambda(m, inf) is exactly 0 or
+    the bracket is a few ulp wide.  None covers both the precondition
+    failures (some patch is not a sink, or chi <= 0) and the genuine
+    no-root case where the fast-migration value is nonnegative, so growth
+    persists for every m.
     """
     if chi(model) <= 0.0 or limit_m0(model) >= 0.0:
         return None
@@ -125,18 +128,13 @@ def m_star(model: PatchModel, bracket_max: float = M_STAR_BRACKET[1]
     f_hi = limit_Tinf(model, hi)
     if f_hi > 0.0:
         raise BracketFailure(f"Lambda({hi}, inf) = {f_hi} > 0; widen bracket")
-    if limit_Tinf(model, lo) <= 0.0:
+    f_lo = limit_Tinf(model, lo)
+    if f_lo <= 0.0:
         raise BracketFailure("no sign change on the bracket")
-    for _ in range(M_STAR_MAXITER):
-        mid = 0.5 * (lo + hi)
-        val = limit_Tinf(model, mid)
-        if abs(val) <= M_STAR_TOL:
-            return mid
-        if val > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    (root,), _ = search.illinois_roots(
+        lambda _, ms: [limit_Tinf(model, m) for m in ms],
+        [lo], [hi], [f_lo], [f_hi], 0.0, M_STAR_MAXITER)
+    return float(root)
 
 
 def _two_patch_D(r1, r2, l21, l12, m):

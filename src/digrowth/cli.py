@@ -95,13 +95,11 @@ def _write_sweep_csv(grid: explorer.SweepGrid, out) -> None:
                         _fmt(float(grid.lam[i, j])), grid.status[i, j]])
 
 
-def _write_curve_csv(mdl, curve: explorer.CriticalCurve, out) -> None:
+def _write_curve_csv(curve: explorer.CriticalCurve, out) -> None:
     w = csv.writer(out)
     w.writerow(["branch", "m", "T", "nu", "lambda_residual"])
-    for b, branch in enumerate(curve.branches):
-        residuals, status = dynamics.growth_rates(mdl, branch[:, 0],
-                                                  branch[:, 1])
-        dynamics.raise_for_status(status)
+    for b, (branch, residuals) in enumerate(zip(curve.branches,
+                                                curve.residuals)):
         for (m, T), res in zip(branch, residuals):
             w.writerow([b, _fmt(float(m)), _fmt(float(T)),
                         _fmt(1.0 / float(T)), _fmt(float(res))])
@@ -186,7 +184,7 @@ def _cmd_critical(args) -> int:
                                     (m_n, T_n), tol=args.tol)
     out, close = _open_out(args.out)
     try:
-        _write_curve_csv(mdl, curve, out)
+        _write_curve_csv(curve, out)
     finally:
         if close:
             out.close()
@@ -235,10 +233,11 @@ def _repro_curve(name, model_ref, m_range=(1e-2, 1e2), T_range=(1e-2, 1e3)):
         try:
             curve = explorer.critical_curve(mdl, m_range, T_range, res)
         except explorer.NoZeroCrossing:
-            curve = explorer.CriticalCurve(branches=[], tol=explorer.CURVE_TOL)
+            curve = explorer.CriticalCurve(branches=[], residuals=[],
+                                           tol=explorer.CURVE_TOL)
         with open(os.path.join(outdir, name + "_curve.csv"), "w",
                   newline="") as fh:
-            _write_curve_csv(mdl, curve, fh)
+            _write_curve_csv(curve, fh)
     return run
 
 

@@ -4,32 +4,37 @@ dispersal-induced-growth classification.
 A sweep evaluates Lambda on a (log-spaced) rectangular grid in one batched
 ``growth_rates`` call, recording a status instead of failing where the
 monodromy matrix is not positive.  Critical curves (the zero set of Lambda)
-are traced by marching squares on the sweep grid followed by one-dimensional
-bisection along each crossing edge, all edges in lockstep, so every emitted
-vertex satisfies |Lambda| <= tol.  The DIG verdict combines the exact
-threshold chi with the slow-regime root m*; for models that are only
-provisionally valid (reducible migration) the verdict is empirical,
-summarizing the sweep.
+are traced by marching squares on the sweep grid followed by an Illinois
+root search along each crossing edge, all edges in lockstep, so every
+emitted vertex satisfies |Lambda| <= tol.  Critical periods and growth-band
+edges are roots found the same way, and the maximum of Lambda over T is a
+parabolic search from the argmax of a T-scan, all rows in lockstep; every
+Lambda value comes from the batched ``growth_rates``.  The DIG verdict
+combines the exact threshold chi with the slow-regime root m*; for models
+that are only provisionally valid (reducible migration) the verdict is
+empirical, summarizing the sweep.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import asymptotics
-from .dynamics import growth_rate, growth_rates, raise_for_status
-from .model import ModelParameters, PatchModel, ValidationStatus
+from . import asymptotics, search
+from .dynamics import growth_rates, raise_for_status
+from .model import PatchModel, ValidationStatus
 
 DEFAULT_M_RANGE = (1e-2, 1e2)
 DEFAULT_T_RANGE = (1e-2, 1e3)
 DEFAULT_RESOLUTION = 128
 CURVE_TOL = 1e-8
+# cap on the steps of every lockstep root and maximum search
 BISECT_CAP = 60
 # points of the log-spaced T scan behind max_lambda_over_T and growth_band
 T_SCAN_SAMPLES = 400
+# a T-maximum search stops once its step in log T is shorter than this
+POLISH_WIDTH = 1e-6
 
 
 class ExplorerError(Exception):
@@ -55,6 +60,7 @@ class SweepGrid:
 @dataclass(frozen=True)
 class CriticalCurve:
     branches: list[np.ndarray]   # each (k, 2) array of (m, T), ordered by m
+    residuals: list[np.ndarray]  # Lambda at each vertex, ordered as branches
     tol: float
 
     @property
@@ -75,10 +81,6 @@ class DigVerdict:
     case: str                    # Case1 | Case2 | NotAllSinks | ReducibleUnknown
     m_star: float | None = None
     empirical: dict = field(default_factory=dict)
-
-
-def _lambda_at(model: PatchModel, m: float, T: float) -> float:
-    return growth_rate(model, ModelParameters(m=m, T=T)).lam
 
 
 def _lambdas(model: PatchModel, m, T) -> np.ndarray:
@@ -102,64 +104,29 @@ def sweep(model: PatchModel,
                      status=status, chi=asymptotics.chi(model))
 
 
-def _bisect_edges(f, lo, hi, f_lo, tol: float) -> list[float]:
-    """Roots along edges [lo[e], hi[e]], bisected in log-space until
-    |f| <= tol or BISECT_CAP steps, all edges in lockstep.
-
-    ``f(edges, points)`` gives the values at one point on each listed edge;
-    ``f_lo[e]`` is the value at ``lo[e]``.
-    """
-    llo = [math.log(x) for x in lo]
-    lhi = [math.log(x) for x in hi]
-    f_lo = list(f_lo)
-    roots = [math.nan] * len(llo)
-    live = list(range(len(llo)))
-    for _ in range(BISECT_CAP):
-        if not live:
-            break
-        mids = [math.exp(0.5 * (llo[e] + lhi[e])) for e in live]
-        still = []
-        for e, mid, val in zip(live, mids, f(live, mids)):
-            if abs(val) <= tol:
-                roots[e] = mid
-                continue
-            if (val > 0.0) == (f_lo[e] > 0.0):
-                llo[e], f_lo[e] = math.log(mid), val
-            else:
-                lhi[e] = math.log(mid)
-            still.append(e)
-        live = still
-    for e in live:
-        roots[e] = math.exp(0.5 * (llo[e] + lhi[e]))
-    return roots
-
-
-def _bisect_edge(f, lo: float, hi: float, f_lo: float, tol: float) -> float:
-    """Root of the scalar function f on one edge, as in ``_bisect_edges``."""
-    return _bisect_edges(lambda _, xs: [f(x) for x in xs],
-                         [lo], [hi], [f_lo], tol)[0]
-
-
 def _refine_crossings(model: PatchModel, keys: list[tuple], mv: np.ndarray,
                       Tv: np.ndarray, lam: np.ndarray,
-                      tol: float) -> dict[tuple, tuple[float, float]]:
-    """Refined (m, T) crossing point per grid edge key (orientation, i, j):
-    an "h" edge joins (i, j) to (i+1, j) and varies in m, a "v" edge joins
-    (i, j) to (i, j+1) and varies in T.  One batched Lambda call per
-    bisection step covers every edge still open."""
+                      tol: float) -> dict[tuple, tuple[tuple, float]]:
+    """Refined (m, T) crossing point and Lambda there, per grid edge key
+    (orientation, i, j): an "h" edge joins (i, j) to (i+1, j) and varies in
+    m, a "v" edge joins (i, j) to (i, j+1) and varies in T.  One batched
+    Lambda call per root-search step covers every edge still open."""
     horiz = np.array([orient == "h" for orient, _, _ in keys])
     fixed = np.array([Tv[j] if orient == "h" else mv[i]
                       for orient, i, j in keys])
     lo = [mv[i] if orient == "h" else Tv[j] for orient, i, j in keys]
     hi = [mv[i + 1] if orient == "h" else Tv[j + 1] for orient, i, j in keys]
+    f_hi = [lam[i + 1, j] if orient == "h" else lam[i, j + 1]
+            for orient, i, j in keys]
 
     def f(edges, xs):
         h, c = horiz[edges], fixed[edges]
         return _lambdas(model, np.where(h, xs, c), np.where(h, c, xs))
 
-    roots = _bisect_edges(f, lo, hi, [lam[i, j] for _, i, j in keys], tol)
-    return {key: (root, c) if h else (c, root)
-            for key, root, h, c in zip(keys, roots, horiz, fixed)}
+    roots, values = search.illinois_roots(
+        f, lo, hi, [lam[i, j] for _, i, j in keys], f_hi, tol, BISECT_CAP)
+    return {key: ((root, c) if h else (c, root), value) for key, root, value,
+            h, c in zip(keys, roots, values, horiz, fixed)}
 
 
 def critical_curve(model: PatchModel,
@@ -229,11 +196,13 @@ def critical_curve(model: PatchModel,
                 chain.append(nxt[0])
                 unvisited.discard(nxt[0])
             chain.reverse()
-        pts = np.array([points[k] for k in chain])
+        pts = np.array([points[k][0] for k in chain])
         order = np.argsort(pts[:, 0], kind="stable")
-        branches.append(pts[order])
-    branches.sort(key=lambda b: b[0, 0])
-    return CriticalCurve(branches=branches, tol=tol)
+        res = np.array([points[k][1] for k in chain])
+        branches.append((pts[order], res[order]))
+    branches.sort(key=lambda b: b[0][0, 0])
+    return CriticalCurve(branches=[pts for pts, _ in branches],
+                         residuals=[res for _, res in branches], tol=tol)
 
 
 def classify_dig(model: PatchModel,
@@ -299,43 +268,41 @@ def critical_period(model: PatchModel, m: float,
         if abs(v) <= tol:
             return float(T)
         if k and (v > 0.0) != (vals[k - 1] > 0.0):
-            return _bisect_edge(lambda t: _lambda_at(model, m, t),
-                                Ts[k - 1], T, vals[k - 1], tol)
+            (root,), _ = search.illinois_roots(
+                lambda _, t: _lambdas(model, m, t),
+                [Ts[k - 1]], [T], [vals[k - 1]], [v], tol, BISECT_CAP)
+            return float(root)
     raise NoZeroCrossing(f"Lambda({m}, .) keeps one sign on {T_range}")
 
 
-def _polish_max(model: PatchModel, m: float, Ts: np.ndarray,
-                vals: np.ndarray) -> float:
-    """max of a log-spaced scan of Lambda(m, .), golden-section polished on
-    log T around the discrete argmax."""
-    k = int(np.argmax(vals))
-    best = float(vals[k])
-    if 0 < k < len(Ts) - 1:
-        lo, hi = math.log(Ts[k - 1]), math.log(Ts[k + 1])
-        phi = (math.sqrt(5.0) - 1.0) / 2.0
-        a, b = lo, hi
-        c, d = b - phi * (b - a), a + phi * (b - a)
-        fc = _lambda_at(model, m, math.exp(c))
-        fd = _lambda_at(model, m, math.exp(d))
-        for _ in range(40):
-            if fc >= fd:
-                b, d, fd = d, c, fc
-                c = b - phi * (b - a)
-                fc = _lambda_at(model, m, math.exp(c))
-            else:
-                a, c, fc = c, d, fd
-                d = a + phi * (b - a)
-                fd = _lambda_at(model, m, math.exp(d))
-        best = max(best, fc, fd)
-    return best
+def _polish_max(model: PatchModel, ms: np.ndarray, Ts: np.ndarray,
+                lam: np.ndarray) -> np.ndarray:
+    """Per row r of a log-spaced scan lam[r] = Lambda(ms[r], Ts), its
+    maximum over T.  The rows whose argmax is interior are polished
+    together by ``search.parabolic_max``, from the argmax and its two
+    neighbours."""
+    k = np.argmax(lam, axis=1)
+    g = lam[np.arange(len(ms)), k]
+    rows = np.flatnonzero((k > 0) & (k < len(Ts) - 1))
+    if rows.size:
+        kr = k[rows]
+        _, g[rows] = search.parabolic_max(
+            lambda r, T: _lambdas(model, ms[rows[r]], T),
+            Ts[kr - 1], Ts[kr], Ts[kr + 1],
+            lam[rows, kr - 1], lam[rows, kr], lam[rows, kr + 1],
+            POLISH_WIDTH, BISECT_CAP)
+    return g
 
 
 def max_lambda_over_T(model: PatchModel, m: float,
                       T_range: tuple[float, float] = DEFAULT_T_RANGE,
                       samples: int = T_SCAN_SAMPLES) -> float:
-    """max_T Lambda(m, T) over a dense log-spaced scan with parabolic refine."""
+    """max_T Lambda(m, T): a log-spaced scan, polished by a parabolic search
+    in log T around its argmax."""
     Ts = np.geomspace(T_range[0], T_range[1], samples)
-    return _polish_max(model, m, Ts, _lambdas(model, m, Ts))
+    ms = np.array([m], dtype=float)
+    return float(_polish_max(model, ms, Ts,
+                             _lambdas(model, ms[:, None], Ts[None, :]))[0])
 
 
 def growth_band(model: PatchModel,
@@ -345,22 +312,29 @@ def growth_band(model: PatchModel,
     """Extent [m_lo, m_hi] of the set {m : max_T Lambda(m, T) > 0}.
 
     Assumes a single band, as produced by models whose growth region is a
-    bounded strip in m; the two ends are located by bisection on the sign of
-    the T-maximized growth rate.
+    bounded strip in m.  A coarse log-spaced m scan brackets the two ends;
+    both are then located together by an Illinois root search on the
+    T-maximized growth rate g(m), to |g| <= tol.  Every evaluation of g is
+    one batched T-scan plus one lockstep polish over all its m values.
     """
-    ms = np.geomspace(m_range[0], m_range[1], coarse)
     Ts = np.geomspace(T_range[0], T_range[1], T_SCAN_SAMPLES)
-    lam = _lambdas(model, ms[:, None], Ts[None, :])
-    g = np.array([_polish_max(model, m, Ts, row) for m, row in zip(ms, lam)])
-    positive = np.flatnonzero(g > 0.0)
+
+    def g(ms):
+        return _polish_max(model, ms, Ts, _lambdas(model, ms[:, None],
+                                                   Ts[None, :]))
+
+    ms = np.geomspace(m_range[0], m_range[1], coarse)
+    gs = g(ms)
+    positive = np.flatnonzero(gs > 0.0)
     if positive.size == 0:
         raise NoZeroCrossing("no growth found on the coarse m scan")
     i0, i1 = positive[0], positive[-1]
-
-    def refine(lo, hi, f_lo):
-        return _bisect_edge(lambda m: max_lambda_over_T(model, m, T_range),
-                            lo, hi, f_lo, tol)
-
-    m_lo = ms[0] if i0 == 0 else refine(ms[i0 - 1], ms[i0], g[i0 - 1])
-    m_hi = ms[-1] if i1 == len(ms) - 1 else refine(ms[i1], ms[i1 + 1], g[i1])
+    # left ends of the brackets [ms[i], ms[i + 1]] around the band's edges
+    left = np.array([i for i in (i0 - 1, i1) if 0 <= i < len(ms) - 1],
+                    dtype=int)
+    roots, _ = search.illinois_roots(lambda _, m: g(m), ms[left],
+                                     ms[left + 1], gs[left], gs[left + 1],
+                                     tol, BISECT_CAP)
+    m_lo = roots[0] if i0 > 0 else ms[0]
+    m_hi = roots[-1] if i1 < len(ms) - 1 else ms[-1]
     return float(m_lo), float(m_hi)

@@ -50,7 +50,7 @@ def test_criterion_01_two_patch_limit_formulas():
                     + np.sqrt(9 - 12 * m + 36 * m * m) / 8.0)
             assert A.limit_T0(mdl, m) == pytest.approx(f0, abs=1e-10)
             assert A.limit_Tinf(mdl, m) == pytest.approx(finf, abs=1e-10)
-        assert A.m_star(mdl) == pytest.approx(5.0 / 9.0, abs=1e-8)
+        assert A.m_star(mdl) == pytest.approx(5.0 / 9.0, abs=1e-12)
         c = A.corners(mdl)
         assert c["lambda_00"] == pytest.approx(-0.25, abs=1e-12)
         assert c["lambda_inf0"] == pytest.approx(-1.0 / 3.0, abs=1e-12)

@@ -73,7 +73,7 @@ def test_corners_symmetric_migration_uniform_kernel():
 
 
 def test_m_star_cases():
-    assert A.m_star(M.builtin("ab1")) == pytest.approx(5.0 / 9.0, abs=1e-8)
+    assert A.m_star(M.builtin("ab1")) == pytest.approx(5.0 / 9.0, abs=1e-12)
     assert A.m_star(M.builtin("ab_mstar_inf")) is None  # growth for all m
     assert A.m_star(M.builtin("three_patch_circular")) == pytest.approx(
         0.172, abs=1e-3)
@@ -161,5 +161,5 @@ def test_case1_sign_pattern():
 def test_limit_panel_fields():
     panel = A.limit_panel(M.builtin("ab1"), m=1.0)
     assert panel.infimum == pytest.approx(-1.0 / 3.0, abs=1e-12)
-    assert panel.m_star == pytest.approx(5.0 / 9.0, abs=1e-8)
+    assert panel.m_star == pytest.approx(5.0 / 9.0, abs=1e-12)
     assert panel.lambda_m_T0 is not None and panel.lambda_m_Tinf is not None

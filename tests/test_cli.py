@@ -1,12 +1,14 @@
 """Command-line surface: parsing, output formats, exit codes."""
 
+import dataclasses
+import io
 import json
 import warnings
 
 import numpy as np
 import pytest
 
-from digrowth import cli, model as M
+from digrowth import cli, dynamics, explorer, model as M
 
 
 def run(capsys, *argv):
@@ -39,7 +41,7 @@ def test_limits_near_m_star(capsys):
     assert code == 0
     doc = json.loads(out)
     assert abs(doc["lambda_m_Tinf"]) < 1e-6
-    assert doc["m_star"] == pytest.approx(5.0 / 9.0, abs=1e-8)
+    assert doc["m_star"] == pytest.approx(5.0 / 9.0, abs=1e-12)
     assert doc["corners"]["lambda_0inf"] == doc["chi"] == 0.5
     assert doc["lambda_infT"] == doc["corners"]["lambda_infinf"]
 
@@ -103,6 +105,22 @@ def test_critical_csv(capsys, tmp_path):
         _, mv, Tv, nu, res = row.split(",")
         assert abs(float(res)) <= 1e-8
         assert float(nu) == pytest.approx(1.0 / float(Tv), rel=1e-12)
+
+
+def test_curve_csv_residuals_are_lambda_at_the_vertices():
+    # the residuals come from the root search; the kernel's values do not
+    # depend on the batch, so recomputing them gives the same bytes
+    mdl = M.builtin("ab1")
+    curve = explorer.critical_curve(mdl, (0.01, 3.0), (0.5, 200.0), 24)
+    written = io.StringIO()
+    cli._write_curve_csv(curve, written)
+    again = [dynamics.growth_rates(mdl, b[:, 0], b[:, 1])[0]
+             for b in curve.branches]
+    recomputed = io.StringIO()
+    cli._write_curve_csv(dataclasses.replace(curve, residuals=again),
+                         recomputed)
+    assert written.getvalue() == recomputed.getvalue()
+    assert written.getvalue().count("\n") == 1 + len(curve.vertices())
 
 
 def test_classify(capsys):

@@ -87,7 +87,7 @@ def test_classify_case1():
     verdict = explorer.classify_dig(M.builtin("ab1"))
     assert verdict.case == "Case1"
     assert verdict.dig_possible and verdict.all_sinks
-    assert verdict.m_star == pytest.approx(5.0 / 9.0, abs=1e-8)
+    assert verdict.m_star == pytest.approx(5.0 / 9.0, abs=1e-12)
 
 
 def test_classify_case2():
@@ -148,3 +148,46 @@ def test_max_lambda_over_T_matches_limit_for_monotone_model():
     mdl = M.builtin("ab1")
     best = explorer.max_lambda_over_T(mdl, 0.3, (0.5, 2000.0), samples=100)
     assert best == pytest.approx(asymptotics.limit_Tinf(mdl, 0.3), abs=1e-3)
+
+
+@pytest.mark.parametrize("name, m, window", [
+    ("ab1", 0.3, explorer.DEFAULT_T_RANGE),
+    ("fainshil(0.1,0.1)", 1.0, (0.25, 0.8)),
+    ("fainshil(0.1,0.1)", 1.5, (0.25, 0.8)),
+    ("fainshil(0.1,0.1)", 1.8, (0.25, 0.8)),
+])
+def test_max_lambda_over_T_matches_dense_scan(name, m, window):
+    # ab1 peaks at the end of the range; fainshil inside it, in the window,
+    # where 20 000 points lie close enough to see 1e-9
+    mdl = M.builtin(name)
+    best = explorer.max_lambda_over_T(mdl, m)
+    lam, _ = dynamics.growth_rates(mdl, m, np.geomspace(*window, 20_000))
+    assert abs(best - lam.max()) <= 1e-9
+    # the dense scan may fall short of the maximum, but not overshoot it
+    assert best >= lam.max() - 1e-11
+
+
+def test_lockstep_polish_equals_one_row_maxima():
+    mdl = M.builtin("fainshil(0.1,0.1)")
+    ms = np.array([0.5, 1.0, 1.5, 1.8, 2.5])
+    Ts = np.geomspace(0.1, 50.0, explorer.T_SCAN_SAMPLES)
+    lam, _ = dynamics.growth_rates(mdl, ms[:, None], Ts[None, :])
+    g = explorer._polish_max(mdl, ms, Ts, lam)
+    one = [explorer.max_lambda_over_T(mdl, m, (0.1, 50.0)) for m in ms]
+    assert g.tolist() == one
+
+
+def test_explorer_makes_no_scalar_lambda_call(monkeypatch):
+    def scalar(*args, **kwargs):
+        raise AssertionError("scalar growth_rate called")
+
+    monkeypatch.setattr(dynamics, "growth_rate", scalar)
+    monkeypatch.setattr(explorer, "growth_rate", scalar, raising=False)
+    ab1, fain = M.builtin("ab1"), M.builtin("fainshil(0.1,0.1)")
+    assert explorer.critical_curve(ab1, (0.01, 3.0), (0.1, 200.0),
+                                   16).n_branches == 1
+    assert explorer.critical_period(ab1, 0.3, (0.1, 1e4)) > 0.0
+    assert explorer.max_lambda_over_T(fain, 1.0) > 0.0
+    lo, hi = explorer.growth_band(fain, (1.2, 5.0), (0.1, 50.0), coarse=12)
+    assert hi == pytest.approx(1.807, abs=2e-2)
+    assert explorer.classify_dig(ab1).case == "Case1"
