@@ -29,8 +29,6 @@ from .spectral import expm, perron_frobenius_metzler, perron_positive
 
 RK4_MIN_STEPS = 2_000
 DEFECT_TOL = 1e-8
-# entrywise positivity threshold when certifying a provisional monodromy
-POSITIVITY_FLOOR = 1e-300
 # target on ||h * T * A|| per exponential sub-step, keeps factors representable
 _STEP_BUDGET = 10.0
 _MAX_NODES = 400_000
@@ -44,7 +42,7 @@ class DynamicsError(Exception):
 
 
 class NonPositiveMonodromy(DynamicsError):
-    """Phi(T) is not entrywise positive, so no common growth exponent exists."""
+    """Phi(T) has structural zeros, so no common growth exponent exists."""
 
 
 class IntegrationFailure(DynamicsError):
@@ -125,6 +123,8 @@ def _expm_scaled(A: np.ndarray) -> tuple[np.ndarray, float]:
 
 def _monodromy_scaled(model: PatchModel,
                       params: ModelParameters) -> tuple[np.ndarray, float]:
+    if model.validation is ValidationStatus.NO_POSITIVE_MONODROMY:
+        raise_for_status("non_positive_monodromy")
     _, widths, mats = merged_segments(model, params.m)
     M = np.eye(model.n)
     logscale = 0.0
@@ -133,6 +133,8 @@ def _monodromy_scaled(model: PatchModel,
         M = E @ M
         logscale += l
         c = np.abs(M).max()
+        if not (math.isfinite(c) and c > 0.0):
+            raise_for_status("error")
         M /= c
         logscale += math.log(c)
     return M, logscale
@@ -166,20 +168,11 @@ def _monodromy_scaled_rk4(model: PatchModel, params: ModelParameters,
     return X, logscale
 
 
-def _certify(model: PatchModel, M: np.ndarray) -> None:
-    if model.validation is ValidationStatus.IRREDUCIBLE_EVERYWHERE:
-        return
-    if np.any(M <= POSITIVITY_FLOOR):
-        raise NonPositiveMonodromy(
-            "monodromy matrix is not entrywise positive at these parameters")
-
-
 def monodromy(model: PatchModel, params: ModelParameters) -> np.ndarray:
     """Phi(T) over one period.  May overflow for extreme Lambda*T; the growth
     rate itself is always computed from the internally scaled representation.
     """
     M, logscale = _monodromy_scaled(model, params)
-    _certify(model, M)
     return M * math.exp(logscale) if logscale < 700.0 else M * np.exp(logscale)
 
 
@@ -188,10 +181,9 @@ def growth_rate(model: PatchModel, params: ModelParameters) -> GrowthResult:
     if params.m <= 0.0:
         raise ValueError("growth_rate needs m > 0; use the m->0 limit instead")
     M, logscale = _monodromy_scaled(model, params)
-    _certify(model, M)
     lam_M, pi = perron_positive(np.maximum(M, 0.0) if M.min() > -1e-13 else M)
     if lam_M <= 0.0:
-        raise NonPositiveMonodromy("monodromy has no positive dominant root")
+        raise_for_status("error")
     log_mu = logscale + math.log(lam_M)
     value = log_mu / params.T
     mu = math.exp(log_mu) if log_mu < 709.0 else math.inf
@@ -205,9 +197,9 @@ def growth_rate(model: PatchModel, params: ModelParameters) -> GrowthResult:
 # cell statuses of growth_rates, and the error growth_rate raises for each
 _STATUS_ERRORS = {
     "non_positive_monodromy": (NonPositiveMonodromy,
-                               "monodromy matrix is not entrywise positive "
-                               "at these parameters"),
-    "error": (IntegrationFailure, "matrix exponential scaling broke down"),
+                               "the model's monodromy matrix is not "
+                               "entrywise positive"),
+    "error": (IntegrationFailure, "scaled monodromy product broke down"),
 }
 
 
@@ -263,15 +255,12 @@ def _growth_rates_block(model: PatchModel, m: np.ndarray,
         c[fail] = 1.0
         M /= c[:, None, None]
         logscale += np.log(c)
-    nonpositive = np.zeros(size, dtype=bool)
-    if model.validation is not ValidationStatus.IRREDUCIBLE_EVERYWHERE:
-        nonpositive = np.any(M <= POSITIVITY_FLOOR, axis=(1, 2))
     clip = M.min(axis=(1, 2)) > -1e-13
     M = np.where(clip[:, None, None], np.maximum(M, 0.0), M)
     root = np.linalg.eigvals(M).real.max(axis=1)
-    nonpositive |= root <= 0.0
+    # the model's monodromy is positive, so a root <= 0 has underflowed
+    broken |= root <= 0.0
     status = np.full(size, "ok", dtype=object)
-    status[nonpositive] = "non_positive_monodromy"
     status[broken] = "error"
     good = status == "ok"
     lam = np.full(size, np.nan)
@@ -283,9 +272,9 @@ def growth_rates(model: PatchModel, m, T) -> tuple[np.ndarray, np.ndarray]:
     """Lambda(m, T) over the broadcast of the arrays m and T, with a status
     per cell.
 
-    A status is "ok", "non_positive_monodromy" where ``growth_rate`` raises
-    NonPositiveMonodromy, or "error" where the scaled exponentials or their
-    product break down; Lambda is NaN where the status is not "ok".  Cells
+    A status is "ok", "non_positive_monodromy" (every cell of a
+    NoPositiveMonodromy model), or "error" where the scaled product breaks
+    down or its root underflows to 0; Lambda is NaN where not "ok".  Cells
     go in blocks of _BLOCK_CELLS.  Per block the segment matrices
     A_k = R_k + m L_k of all cells are formed at once; each cell's
     exponentials are scaled and squared as in ``_expm_scaled`` and
@@ -302,6 +291,9 @@ def growth_rates(model: PatchModel, m, T) -> tuple[np.ndarray, np.ndarray]:
     if not np.all((T > 0.0) & np.isfinite(T)):
         raise ValueError("growth_rates needs finite T > 0")
     shape = m.shape
+    if model.validation is ValidationStatus.NO_POSITIVE_MONODROMY:
+        return (np.full(shape, np.nan),
+                np.full(shape, "non_positive_monodromy", dtype=object))
     m, T = m.ravel(), T.ravel()
     blocks = [_growth_rates_block(model, m[s:s + _BLOCK_CELLS],
                                   T[s:s + _BLOCK_CELLS])

@@ -11,8 +11,8 @@ edges are roots found the same way, and the maximum of Lambda over T is a
 parabolic search from the argmax of a T-scan, all rows in lockstep; every
 Lambda value comes from the batched ``growth_rates``.  The DIG verdict
 combines the exact threshold chi with the slow-regime root m*; for models
-that are only provisionally valid (reducible migration) the verdict is
-empirical, summarizing the sweep.
+with a reducible migration segment the verdict is empirical, summarizing
+the sweep.
 """
 
 from __future__ import annotations
@@ -157,15 +157,16 @@ def critical_curve(model: PatchModel,
             keys.append(("v", i + 1, j))
         return keys
 
-    # connectivity graph between edge crossings, linked within each cell
-    links: dict[tuple, set[tuple]] = {}
+    # connectivity graph between edge crossings, linked within each cell;
+    # lists, not sets, so that the walk does not depend on hash order
+    links: dict[tuple, list[tuple]] = {}
     for i in range(len(mv) - 1):
         for j in range(len(Tv) - 1):
             keys = crossings(i, j)
             if len(keys) == 2:
                 a, b = keys
-                links.setdefault(a, set()).add(b)
-                links.setdefault(b, set()).add(a)
+                links.setdefault(a, []).append(b)
+                links.setdefault(b, []).append(a)
             elif len(keys) == 4:
                 # saddle cell: pair edges arbitrarily but consistently
                 h_keys = [k for k in keys if k[0] == "h"]
@@ -173,28 +174,29 @@ def critical_curve(model: PatchModel,
                 pairs = list(zip(h_keys, v_keys)) if h_keys and v_keys \
                     else [(keys[0], keys[1]), (keys[2], keys[3])]
                 for a, b in pairs:
-                    links.setdefault(a, set()).add(b)
-                    links.setdefault(b, set()).add(a)
+                    links.setdefault(a, []).append(b)
+                    links.setdefault(b, []).append(a)
     if not links:
         raise NoZeroCrossing("Lambda has uniform sign on the usable grid")
     points = _refine_crossings(model, list(links), mv, Tv, lam, tol)
 
     # walk the graph into polyline branches
-    unvisited = set(links)
+    unvisited = dict.fromkeys(links)  # an insertion-ordered set
     branches = []
     while unvisited:
         # prefer an endpoint (degree 1) as the walk start
-        start = next((k for k in unvisited if len(links[k] & unvisited) <= 1),
+        start = next((k for k in unvisited
+                      if len(unvisited.keys() & links[k]) <= 1),
                      next(iter(unvisited)))
         chain = [start]
-        unvisited.discard(start)
+        del unvisited[start]
         for _ in range(2):  # extend both directions from the start
             while True:
                 nxt = [k for k in links[chain[-1]] if k in unvisited]
                 if not nxt:
                     break
                 chain.append(nxt[0])
-                unvisited.discard(nxt[0])
+                del unvisited[nxt[0]]
             chain.reverse()
         pts = np.array([points[k][0] for k in chain])
         order = np.argsort(pts[:, 0], kind="stable")

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
@@ -55,6 +55,7 @@ class UnknownModel(ModelError):
 class ValidationStatus(Enum):
     IRREDUCIBLE_EVERYWHERE = "IrreducibleEverywhere"
     POSITIVE_MONODROMY_ONLY = "PositiveMonodromyOnly"
+    NO_POSITIVE_MONODROMY = "NoPositiveMonodromy"
     INVALID = "Invalid"
 
 
@@ -193,14 +194,15 @@ class PatchModel:
     n: int
     growth: PeriodicMatrixFunction
     migration: PeriodicMatrixFunction
-    validation: ValidationStatus | None = None
     name: str | None = None
+    validation: ValidationStatus = field(init=False)  # what validate finds
 
     def __post_init__(self):
         if self.n < 2:
             raise SchemaError("n >= 2 required")
         if self.growth.n != self.n or self.migration.n != self.n:
             raise SchemaError("schedule dimensions disagree with n")
+        object.__setattr__(self, "validation", validate(self).status)
 
     @cached_property
     def segments(self) -> Segments:
@@ -228,17 +230,19 @@ class PatchModel:
 
 
 def validate(model: PatchModel) -> ValidationReport:
-    """Check migration sign/column-sum constraints and per-segment irreducibility.
+    """Check migration sign/column-sum constraints and classify the model.
 
-    IrreducibleEverywhere requires each migration segment's positive-entry
-    graph to be strongly connected.  Otherwise the model is provisionally
-    PositiveMonodromyOnly: the growth rate exists wherever the monodromy
-    matrix turns out to be entrywise positive (certified per (m, T) later).
+    For m, t > 0 the zero pattern of e^{t(R_k + m L_k)} is the reachability
+    closure of L_k, so the monodromy's pattern at every m, T > 0 is the
+    Boolean product of the closures in segment order.  IrreducibleEverywhere:
+    every closure is full.  Else PositiveMonodromyOnly if the product is
+    full (the growth rate exists), NoPositiveMonodromy if not.
     """
-    from .spectral import is_irreducible  # local import avoids a cycle
+    from .spectral import reachability  # local import avoids a cycle
 
     issues: list[ValidationIssue] = []
     irreducible = True
+    pattern = np.eye(model.n, dtype=bool)
     for k, L in enumerate(model.migration.matrices):
         off = L - np.diag(np.diag(L))
         bad = np.argwhere(off < 0.0)
@@ -249,22 +253,25 @@ def validate(model: PatchModel) -> ValidationReport:
             if abs(s) > COLUMN_SUM_TOL:
                 issues.append(ValidationIssue("ColumnSumViolation", k, int(j),
                                               residual=float(s)))
-        if not is_irreducible(L, tol=EDGE_TOL):
-            irreducible = False
+        reach = reachability(L, tol=EDGE_TOL)
+        irreducible &= bool(reach.all())
+        pattern = reach @ pattern
 
     if issues:
         return ValidationReport(ValidationStatus.INVALID, tuple(issues))
     if irreducible:
         return ValidationReport(ValidationStatus.IRREDUCIBLE_EVERYWHERE)
-    return ValidationReport(ValidationStatus.POSITIVE_MONODROMY_ONLY)
+    if pattern.all():
+        return ValidationReport(ValidationStatus.POSITIVE_MONODROMY_ONLY)
+    return ValidationReport(ValidationStatus.NO_POSITIVE_MONODROMY)
 
 
 def validated(model: PatchModel) -> PatchModel:
-    """Return a copy of the model carrying its validation status."""
-    report = validate(model)
-    if not report.ok:
-        raise SchemaError("invalid model: " + "; ".join(str(i) for i in report.issues))
-    return replace(model, validation=report.status)
+    """Return the model, or raise SchemaError if it is invalid."""
+    if model.validation is ValidationStatus.INVALID:
+        issues = validate(model).issues
+        raise SchemaError("invalid model: " + "; ".join(str(i) for i in issues))
+    return model
 
 
 # ---------------------------------------------------------------------------
@@ -359,8 +366,8 @@ def _builtin_fainshil(eps: float = 0.1, delta: float = 0.1) -> PatchModel:
     """Three-patch switched system with two antiphase circular flow patterns.
 
     ``eps``/``delta`` are the weak back-flow strengths; at (0, 0) each
-    half-period migration is one-way and the model is only provisionally
-    valid, while positive values make it irreducible everywhere.
+    half-period migration is one-way and the monodromy matrix keeps
+    structural zeros, while positive values make it irreducible everywhere.
     """
     growth = _diag_segments(["0", "1/2"], [["9", "-1", "-10"], ["-10", "0", "9"]])
     L1 = _mig_from_offdiag({(1, 0): "10", (2, 1): eps, (0, 2): eps})
@@ -483,11 +490,7 @@ def from_dict(doc: dict) -> PatchModel:
     for d in g["diagonals"]:
         if len(d) != n:
             raise ParseError("growth diagonal has wrong length", field="growth")
-    model = PatchModel(n, growth, migration)
-    report = validate(model)
-    if not report.ok:
-        raise SchemaError("invalid model: " + "; ".join(str(i) for i in report.issues))
-    return replace(model, validation=report.status)
+    return validated(PatchModel(n, growth, migration))
 
 
 def save(model: PatchModel, path) -> None:

@@ -14,8 +14,8 @@ Contents:
 * ``spectral_abscissa`` — max real part of the spectrum, any square matrix.
 * ``kernel_vector`` — the positive kernel direction of an irreducible
   zero-column-sum Metzler matrix, from the cofactor formula.
-* ``is_irreducible`` — strong connectivity of the positive off-diagonal graph,
-  from a dense Boolean reachability closure.
+* ``reachability`` — Boolean closure of the positive off-diagonal graph, the
+  zero pattern of e^{tA}; ``is_irreducible`` is whether it is full.
 """
 
 from __future__ import annotations
@@ -73,19 +73,21 @@ def _expm_stack(A: np.ndarray) -> np.ndarray:
     return E
 
 
-def is_irreducible(A: np.ndarray, tol: float = 1e-14) -> bool:
-    """True iff the graph of off-diagonal entries > tol is strongly connected.
-
-    Squaring the reflexive adjacency ceil(log2 n) times covers every path of
-    up to n - 1 edges, so the closure is all true exactly when every patch
-    reaches every other.
-    """
+def reachability(A: np.ndarray, tol: float = 1e-14) -> np.ndarray:
+    """Reflexive closure of the graph of off-diagonal entries > tol, by
+    ceil(log2 n) Boolean squarings: (i, j) is True iff j reaches i.  For a
+    Metzler A and t > 0 it is the zero pattern of e^{tA}."""
     A = np.asarray(A, dtype=float)
     n = A.shape[0]
     reach = (np.abs(A) > tol) | np.eye(n, dtype=bool)
     for _ in range(math.ceil(math.log2(n))):
         reach = reach @ reach
-    return bool(reach.all())
+    return reach
+
+
+def is_irreducible(A: np.ndarray, tol: float = 1e-14) -> bool:
+    """True iff the graph of off-diagonal entries > tol is strongly connected."""
+    return bool(reachability(A, tol).all())
 
 
 def _dense_dominant(A: np.ndarray) -> tuple[float, np.ndarray]:

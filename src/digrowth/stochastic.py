@@ -128,8 +128,8 @@ class _DwellFlow:
 
     def __init__(self, A: np.ndarray):
         self.A = A
-        self.shift = float(np.linalg.eigvals(A).real.max())
         w, V = np.linalg.eig(A)
+        self.shift = float(w.real.max())
         try:
             Vinv = np.linalg.inv(V)
             ok = np.linalg.cond(V) < 1e8

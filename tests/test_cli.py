@@ -56,6 +56,9 @@ def test_validate_provisional_model(capsys):
     code, out, _ = run(capsys, "validate", "unidir_favorable")
     assert code == 0
     assert json.loads(out)["status"] == "PositiveMonodromyOnly"
+    code, out, _ = run(capsys, "validate", "fainshil(0,0)")
+    assert code == 0
+    assert json.loads(out)["status"] == "NoPositiveMonodromy"
 
 
 def test_validate_invalid_file(capsys, tmp_path):

@@ -82,6 +82,18 @@ def test_nonpositive_monodromy_raises():
     mdl = M.builtin("fainshil(0,0)")
     with pytest.raises(D.NonPositiveMonodromy):
         D.growth_rate(mdl, P(1.0, 2.0))
+    with pytest.raises(D.NonPositiveMonodromy):
+        D.monodromy(mdl, P(1.0, 2.0))
+
+
+def test_underflowed_monodromy_is_an_integration_failure():
+    # the favorable patch's mass leaves the scaled product at every switch,
+    # so the whole product underflows to 0 although Phi(T) > 0
+    mdl = M.builtin("three_patch_reducible")
+    with pytest.raises(D.IntegrationFailure):
+        D.growth_rate(mdl, P(0.01, 1e4))
+    lam, status = D.growth_rates(mdl, 0.01, [1e3, 1e4])
+    assert list(status) == ["ok", "error"]
 
 
 def test_oracle_agrees_with_monodromy():

@@ -1,5 +1,9 @@
 """Sweeps, critical curves, classification, monotonicity evidence."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -46,6 +50,38 @@ def test_sweep_marks_nonpositive_cells():
     grid = explorer.sweep(M.builtin("fainshil(0,0)"), (0.5, 2.0),
                           (0.5, 5.0), 8)
     assert np.all(grid.status == "non_positive_monodromy")
+
+
+def test_critical_curve_unidir_unfavorable():
+    mdl = M.builtin("unidir_unfavorable")
+    curve = explorer.critical_curve(mdl, resolution=24)
+    assert curve.n_branches >= 1
+    verts = curve.vertices()
+    stored = np.concatenate(curve.residuals)
+    assert np.abs(stored).max() <= explorer.CURVE_TOL
+    lam, status = dynamics.growth_rates(mdl, verts[:, 0], verts[:, 1])
+    assert np.all(status == "ok")
+    assert np.array_equal(lam, stored)
+
+
+_CURVE_BYTES = """
+import hashlib
+from digrowth import explorer, model
+curve = explorer.critical_curve(model.builtin("fainshil(0.1,0.1)"),
+                                resolution=24)
+print(hashlib.sha256(b"".join(b.tobytes() for b in curve.branches)).hexdigest())
+"""
+
+
+def test_critical_curve_independent_of_hash_seed():
+    digests = []
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=os.path.dirname(
+            os.path.dirname(explorer.__file__)))
+        digests.append(subprocess.run(
+            [sys.executable, "-c", _CURVE_BYTES], env=env, check=True,
+            capture_output=True, text=True).stdout)
+    assert digests[0] == digests[1]
 
 
 def test_critical_curve_ab1_single_branch():

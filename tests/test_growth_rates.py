@@ -50,9 +50,11 @@ def test_matches_scalar_on_default_grid(name):
 
 
 def test_matches_scalar_on_reducible_sweep():
+    # the monodromy is structurally positive: cells whose scaled entries
+    # underflow to 0 still have a well-defined Perron root
     status = _agree(M.builtin("unidir_favorable"), (0.05, 10.0),
                     (0.1, 200.0), 32)
-    assert (status == "non_positive_monodromy").sum() == 7
+    assert (status == "non_positive_monodromy").sum() == 0
     assert not (status == "error").any()
 
 

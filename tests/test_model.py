@@ -4,6 +4,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from digrowth import model as M
 
@@ -61,11 +62,73 @@ def test_column_sum_tolerance_accepts_tiny_residual():
 
 
 def test_catalog_statuses():
-    assert M.builtin("ab1").validation is M.ValidationStatus.IRREDUCIBLE_EVERYWHERE
-    assert M.builtin("unidir_favorable").validation is \
-        M.ValidationStatus.POSITIVE_MONODROMY_ONLY
-    assert M.builtin("three_patch_reducible(1,-1)").validation is \
-        M.ValidationStatus.POSITIVE_MONODROMY_ONLY
+    irreducible = ["ab1", "ab2s", "ab_mstar_inf", "abc_two_patch",
+                   "fainshil", "pm1", "three_patch_circular"]
+    positive = ["unidir_favorable", "unidir_unfavorable",
+                "three_patch_reducible(1,-1)", "three_patch_reducible(1,-0.8)",
+                "fainshil(0,0.1)"]
+    for name in irreducible:
+        assert M.builtin(name).validation is \
+            M.ValidationStatus.IRREDUCIBLE_EVERYWHERE, name
+    for name in positive:
+        assert M.builtin(name).validation is \
+            M.ValidationStatus.POSITIVE_MONODROMY_ONLY, name
+    assert M.builtin("fainshil(0,0)").validation is \
+        M.ValidationStatus.NO_POSITIVE_MONODROMY
+    assert M.validate(M.builtin("fainshil(0,0)")).ok
+
+
+def test_unvalidated_model_carries_its_status():
+    growth = M.PeriodicMatrixFunction.constant(np.diag([0.1, -0.2]))
+    one_way = M.PeriodicMatrixFunction.constant([[0.0, 1.0], [0.0, -1.0]])
+    mdl = M.PatchModel(2, growth, one_way)
+    assert mdl.validation is M.ValidationStatus.NO_POSITIVE_MONODROMY
+    assert M.validated(mdl) is mdl
+
+
+def _taylor_exp(A: np.ndarray, terms: int = 60) -> np.ndarray:
+    """e^A as e^-c times the Taylor series of A + cI >= 0: every term is
+    nonnegative, so a structural zero of e^A stays exactly 0."""
+    c = max(0.0, -float(A.diagonal().min()))
+    B = A + c * np.eye(len(A))
+    term = total = np.eye(len(A))
+    for j in range(1, terms):
+        term = term @ B / j
+        total = total + term
+    return np.exp(-c) * total
+
+
+@st.composite
+def migration_patterns(draw):
+    """(n, rates, breaks, migration matrices) with 0/1 off-diagonal flows."""
+    n = draw(st.sampled_from([2, 3]))
+    inner = draw(st.lists(st.integers(1, 7), unique=True, max_size=2))
+    breaks = [0.0] + sorted(k / 8 for k in inner)
+    mats = []
+    for _ in breaks:
+        L = np.zeros((n, n))
+        L[~np.eye(n, dtype=bool)] = draw(
+            st.lists(st.sampled_from([0.0, 1.0]), min_size=n * (n - 1),
+                     max_size=n * (n - 1)))
+        mats.append(L - np.diag(L.sum(axis=0)))
+    rates = draw(st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n))
+    return n, rates, breaks, mats
+
+
+@settings(max_examples=200, deadline=None)
+@given(spec=migration_patterns())
+def test_certificate_matches_sign_of_monodromy(spec):
+    n, rates, breaks, mats = spec
+    mdl = M.PatchModel(n, M.PeriodicMatrixFunction.constant(np.diag(rates)),
+                       M.PeriodicMatrixFunction.from_segments(breaks, mats))
+    Phi = np.eye(n)
+    for w, R, L in zip(mdl.segments.widths, mdl.segments.R, mdl.segments.L):
+        Phi = _taylor_exp(w * (R + L)) @ Phi
+    certified = mdl.validation in (M.ValidationStatus.IRREDUCIBLE_EVERYWHERE,
+                                   M.ValidationStatus.POSITIVE_MONODROMY_ONLY)
+    assert certified == bool(np.all(Phi > 0.0))
+    assert (mdl.validation is M.ValidationStatus.IRREDUCIBLE_EVERYWHERE) == \
+        all(_taylor_exp(L).min() > 0.0 for L in mats)
 
 
 def test_builtin_name_parsing():
