@@ -7,7 +7,10 @@ the Perron root of Phi(T).  Phi(T) is the exact ordered product of the
 exponentials of the model's merged segments.  All internal products carry a
 separate log-scale factor so that nothing overflows even when Lambda*T is in
 the thousands.  ``growth_rates`` evaluates Lambda over whole arrays of
-(m, T) in stacked passes, for sweeps and scans.
+(m, T) in stacked passes, for sweeps and scans.  For two patches it takes
+each segment exponential and the final Perron root in closed form, written
+so that no entry is formed as a difference that cancels: no Pade step, no
+squaring and no eigensolver.
 
 The simplex reduction theta = x / sum(x) obeys
 dtheta/dt = A theta - <A theta, 1> theta and has a unique globally attracting
@@ -235,11 +238,86 @@ def _expm_scaled_stack(A: np.ndarray) -> tuple[np.ndarray, np.ndarray,
     return E, l, broken
 
 
-def _growth_rates_block(model: PatchModel, m: np.ndarray,
-                        T: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``growth_rates`` on flat m and T."""
-    n, size = model.n, len(m)
-    _, widths, mats = merged_segments(model, m)
+def _expm2_scaled(B: np.ndarray) -> tuple[tuple[np.ndarray, ...], np.ndarray,
+                                          np.ndarray]:
+    """``_expm_scaled_stack`` in closed form for 2x2 Metzler matrices B
+    (..., 2, 2): (E, l, broken) with e^B = e^l E, where E is the tuple of
+    entry arrays (E00, E01, E10, E11), every entry >= 0, and nothing is
+    squared.
+
+    For B = [[a, b], [c, d]] with b, c >= 0, t = (a + d)/2,
+    delta = (a - d)/2 and s = sqrt(delta^2 + bc) is real, and
+    e^B = e^{t+s} [(1 + e^{-2s})/2 I + f (B - t I)] with
+    f = -expm1(-2s)/(2s), f = 1 at s = 0 (Bernstein & So, IEEE Trans.
+    Autom. Control 38(8), 1993).  The smaller diagonal entry is
+    (bc/(s + |delta|) + (s + |delta|) e^{-2s})/(2s), which keeps its digits
+    where the direct difference cancels (bc tiny or 0).  A cell is broken
+    where twice its 1-norm is not finite: that bounds 2s, s + |delta| and
+    the entries of a product of these factors, so none of them overflows.
+    """
+    with np.errstate(over="ignore"):  # an infinite norm marks the cell
+        nrm = 2.0 * np.abs(B).sum(axis=-2).max(axis=-1)
+    broken = ~np.isfinite(nrm)
+    B = np.where(broken[..., None, None], 0.0, B)
+    a, b, c, d = B[..., 0, 0], B[..., 0, 1], B[..., 1, 0], B[..., 1, 1]
+    delta = 0.5 * (a - d)
+    g = np.sqrt(b) * np.sqrt(c)  # sqrt(bc), which does not overflow
+    s = np.hypot(delta, g)
+    distinct = s > 0.0
+    s1 = np.where(distinct, s, 1.0)
+    minus_2s = -2.0 * s
+    decay = np.exp(minus_2s)
+    f = np.where(distinct, np.expm1(minus_2s) / (-2.0 * s1), 1.0)
+    spread = np.abs(delta)
+    u = s1 + spread
+    big = 0.5 + 0.5 * decay + f * spread
+    small = np.where(distinct, (g * (g / u) + u * decay) / (2.0 * s1), 1.0)
+    first = delta >= 0.0
+    E = (np.where(first, big, small), f * b, f * c,
+         np.where(first, small, big))
+    return E, 0.5 * (a + d) + s, broken
+
+
+def _scaled_root2(widths: np.ndarray, T: np.ndarray,
+                  mats: np.ndarray) -> tuple[np.ndarray, np.ndarray,
+                                             np.ndarray]:
+    """``_scaled_root`` for two patches, on the entry arrays of all cells and
+    segments at once: the factors come from one ``_expm2_scaled`` call and
+    the root from ``_perron_root2``."""
+    with np.errstate(over="ignore"):  # an infinite norm marks the cell
+        B = (widths[:, None] * T)[:, :, None, None] * mats
+    (e00, e01, e10, e11), l, bad = _expm2_scaled(B)
+    broken = bad.any(axis=0)
+    logscale = l.sum(axis=0)
+    p, r, r2, q = e00[0], e01[0], e10[0], e11[0]
+    for k in range(len(widths)):
+        if k:
+            p, r, r2, q = (e00[k] * p + e01[k] * r2, e00[k] * r + e01[k] * q,
+                           e10[k] * p + e11[k] * r2, e10[k] * r + e11[k] * q)
+        c = np.maximum(np.maximum(p, q), np.maximum(r, r2))
+        # a product that underflowed to 0 is broken; its entries stay 0
+        fail = ~(c > 0.0)
+        broken |= fail
+        c[fail] = np.inf
+        p, r, r2, q = p / c, r / c, r2 / c, q / c
+        logscale += np.log(c)
+    return logscale, _perron_root2(p, r, r2, q), broken
+
+
+def _perron_root2(p, r, r2, q):
+    """Perron root of the nonnegative [[p, r], [r2, q]] (entry arrays):
+    (p + q)/2 + sqrt(((p - q)/2)^2 + r r2), a sum of nonnegative terms."""
+    return 0.5 * (p + q) + np.hypot(0.5 * (p - q), np.sqrt(r * r2))
+
+
+def _scaled_root(widths: np.ndarray, T: np.ndarray,
+                 mats: np.ndarray) -> tuple[np.ndarray, np.ndarray,
+                                            np.ndarray]:
+    """(logscale, root, broken) per cell: Phi(T) = e^logscale M with M the
+    product of the scaled segment exponentials, each step rescaled to unit
+    max entry, root the dominant eigenvalue of M from one stacked dense
+    solve, and ``broken`` marking cells whose scaling broke down."""
+    size, n = mats.shape[1], mats.shape[-1]
     M = np.broadcast_to(np.eye(n), (size, n, n)).copy()
     logscale = np.zeros(size)
     broken = np.zeros(size, dtype=bool)
@@ -258,12 +336,21 @@ def _growth_rates_block(model: PatchModel, m: np.ndarray,
     clip = M.min(axis=(1, 2)) > -1e-13
     M = np.where(clip[:, None, None], np.maximum(M, 0.0), M)
     root = np.linalg.eigvals(M).real.max(axis=1)
+    return logscale, root, broken
+
+
+def _growth_rates_block(model: PatchModel, m: np.ndarray,
+                        T: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``growth_rates`` on flat m and T."""
+    _, widths, mats = merged_segments(model, m)
+    scaled_root = _scaled_root2 if model.n == 2 else _scaled_root
+    logscale, root, broken = scaled_root(widths, T, mats)
     # the model's monodromy is positive, so a root <= 0 has underflowed
     broken |= root <= 0.0
-    status = np.full(size, "ok", dtype=object)
+    status = np.full(len(m), "ok", dtype=object)
     status[broken] = "error"
     good = status == "ok"
-    lam = np.full(size, np.nan)
+    lam = np.full(len(m), np.nan)
     lam[good] = (logscale[good] + np.log(root[good])) / T[good]
     return lam, status
 
@@ -276,10 +363,14 @@ def growth_rates(model: PatchModel, m, T) -> tuple[np.ndarray, np.ndarray]:
     NoPositiveMonodromy model), or "error" where the scaled product breaks
     down or its root underflows to 0; Lambda is NaN where not "ok".  Cells
     go in blocks of _BLOCK_CELLS.  Per block the segment matrices
-    A_k = R_k + m L_k of all cells are formed at once; each cell's
-    exponentials are scaled and squared as in ``_expm_scaled`` and
-    multiplied in order with their own log-scale, and the Perron root is
-    the dominant eigenvalue from one stacked dense solve.
+    A_k = R_k + m L_k of all cells are formed at once, and each cell's
+    segment exponentials are multiplied in order with their own log-scale.
+    With three or more patches the exponentials are scaled and squared as
+    in ``_expm_scaled`` and the Perron root is the dominant eigenvalue from
+    one stacked dense solve.  With two patches both are closed forms on
+    the entry arrays of all cells and segments (``_expm2_scaled``,
+    ``_perron_root2``) whose every entry is a sum of nonnegative terms, so
+    small entries keep their relative accuracy.
     A cell's value does not depend on the other cells of the batch.  Any
     other exception propagates.
     """

@@ -37,13 +37,17 @@ def test_sweep_equal_rates_constant():
     assert np.abs(grid.lam + 0.1).max() <= 1e-9
 
 
-def test_sweep_propagates_unexpected_errors(monkeypatch):
-    def broken_expm(A):
+# the segment exponential of each kernel path: the 2x2 closed form and the
+# stacked Pade-13 that three patches use
+@pytest.mark.parametrize("name, exponential", [
+    ("ab1", "_expm2_scaled"), ("fainshil(0.1,0.1)", "expm")])
+def test_sweep_propagates_unexpected_errors(monkeypatch, name, exponential):
+    def broken(*args):
         raise ValueError("not a Lambda failure")
 
-    monkeypatch.setattr(dynamics, "expm", broken_expm)
+    monkeypatch.setattr(dynamics, exponential, broken)
     with pytest.raises(ValueError, match="not a Lambda failure"):
-        explorer.sweep(M.builtin("ab1"), (0.1, 2.0), (0.5, 50.0), 4)
+        explorer.sweep(M.builtin(name), (0.1, 2.0), (0.5, 50.0), 4)
 
 
 def test_sweep_marks_nonpositive_cells():

@@ -2,10 +2,13 @@
 whose growth and migration schedules switch at different times, so every
 evaluation runs on a merged refinement of the two schedules."""
 
+import warnings
+from unittest import mock
+
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from digrowth import dynamics as D
+from digrowth import dynamics as D, model as M
 from digrowth.model import PatchModel, PeriodicMatrixFunction, validated
 
 # breakpoints are multiples of 1/GRID: growth switches at multiples of 4/GRID
@@ -27,10 +30,10 @@ def _migration(off, n):
 
 
 @st.composite
-def schedules(draw):
+def schedules(draw, sizes=(2, 3)):
     """(n, growth, migration), each schedule a (starts, matrices) pair with
     starts in units of 1/GRID."""
-    n = draw(st.sampled_from([2, 3]))
+    n = draw(st.sampled_from(sizes))
     g_inner = draw(st.lists(st.integers(1, 9), unique=True, max_size=2))
     m_inner = draw(st.lists(st.integers(0, 9), unique=True, min_size=1,
                             max_size=2))
@@ -96,3 +99,40 @@ def test_phase_rotation_leaves_lambda(spec, point, shift):
     n, growth, migration = spec
     rotated = _model(n, _rotate(*growth, shift), _rotate(*migration, shift))
     assert abs(_lam(rotated, *point) - _lam(_model(*spec), *point)) <= TOL
+
+
+def _both_paths(mdl, m, T):
+    """growth_rates through the 2x2 closed form, which must not warn, and
+    through the stacked Pade-13 and eigvals path forced on the same cells."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        lam, status = D.growth_rates(mdl, m, T)
+    with mock.patch.object(D, "_scaled_root2", D._scaled_root):
+        want, want_status = D.growth_rates(mdl, m, T)
+    assert np.array_equal(status, want_status)
+    ok = status == "ok"
+    assert np.all(np.abs(lam[ok] - want[ok]) <= TOL)
+    return status
+
+
+cells = st.lists(st.tuples(st.floats(-2.0, 2.0), st.floats(-3.0, 4.0)),
+                 min_size=1, max_size=16)
+
+
+@settings(max_examples=40, deadline=None)
+@given(spec=schedules(sizes=(2,)), log_cells=cells, flat=st.booleans())
+def test_two_patch_closed_form_matches_stacked_path(spec, log_cells, flat):
+    n, (g_starts, growth), (m_starts, migration) = spec
+    if flat:
+        # equal rates and no flow on the first merged segment: s = 0 there
+        growth = [growth[0][0, 0] * np.eye(2)] + growth[1:]
+        migration = [np.zeros((2, 2))] + migration[1:]
+    mdl = _model(n, (g_starts, growth), (m_starts, migration))
+    m, T = 10.0 ** np.array(log_cells).T
+    assert np.all(_both_paths(mdl, m, T) == "ok")
+
+
+def test_two_patch_paths_agree_where_scaling_breaks_down():
+    # the cells of test_scaling_breakdown_is_an_error_cell
+    status = _both_paths(M.builtin("ab1"), 1.0, np.array([1.0, 1e308]))
+    assert list(status) == ["ok", "error"]
