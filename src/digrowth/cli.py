@@ -10,7 +10,6 @@ Exit codes: 0 success, 1 internal/numerical error, 2 validation/usage error.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
@@ -20,14 +19,19 @@ import numpy as np
 from . import asymptotics, dynamics, explorer, model as model_mod, stochastic
 
 DIGITS = 15
+_FORMAT = f".{DIGITS}g"
 
 
 def _fmt(x: float) -> str:
-    if x != x:
-        return "nan"
-    if x in (float("inf"), float("-inf")):
-        return "inf" if x > 0 else "-inf"
-    return f"{x:.{DIGITS}g}"
+    """15 significant digits; ``nan``, ``inf`` and ``-inf`` as such."""
+    return format(x, _FORMAT)
+
+
+def _write_rows(out, header: list[str], rows) -> None:
+    """CSV lines of already formatted fields, ended by ``\\r\\n`` as
+    ``csv.writer`` ends them; no field needs quoting."""
+    out.write(",".join(header) + "\r\n")
+    out.writelines(",".join(row) + "\r\n" for row in rows)
 
 
 def _render(obj) -> str:
@@ -87,22 +91,21 @@ def _open_out(path):
 
 
 def _write_sweep_csv(grid: explorer.SweepGrid, out) -> None:
-    w = csv.writer(out)
-    w.writerow(["m", "T", "lambda", "status"])
-    for i, m in enumerate(grid.m_values):
-        for j, T in enumerate(grid.T_values):
-            w.writerow([_fmt(float(m)), _fmt(float(T)),
-                        _fmt(float(grid.lam[i, j])), grid.status[i, j]])
+    Ts = [_fmt(T) for T in grid.T_values.tolist()]
+    rows = ((m, T, _fmt(lam), status)
+            for m, lams, statuses in zip(map(_fmt, grid.m_values.tolist()),
+                                         grid.lam.tolist(),
+                                         grid.status.tolist())
+            for T, lam, status in zip(Ts, lams, statuses))
+    _write_rows(out, ["m", "T", "lambda", "status"], rows)
 
 
 def _write_curve_csv(curve: explorer.CriticalCurve, out) -> None:
-    w = csv.writer(out)
-    w.writerow(["branch", "m", "T", "nu", "lambda_residual"])
-    for b, (branch, residuals) in enumerate(zip(curve.branches,
-                                                curve.residuals)):
-        for (m, T), res in zip(branch, residuals):
-            w.writerow([b, _fmt(float(m)), _fmt(float(T)),
-                        _fmt(1.0 / float(T)), _fmt(float(res))])
+    rows = ((str(b), _fmt(m), _fmt(T), _fmt(1.0 / T), _fmt(res))
+            for b, (branch, residuals) in enumerate(zip(curve.branches,
+                                                        curve.residuals))
+            for (m, T), res in zip(branch.tolist(), residuals.tolist()))
+    _write_rows(out, ["branch", "m", "T", "nu", "lambda_residual"], rows)
 
 
 # ---------------------------------------------------------------------------
@@ -252,18 +255,17 @@ def _repro_slices(name, model_ref, m_fixed, T_fixed):
                                            Ts[None, :])
         dynamics.raise_for_status(st_T)
         dynamics.raise_for_status(st_m)
+        m_text = [_fmt(m) for m in ms.tolist()]
+        T_text = [_fmt(T) for T in Ts.tolist()]
+        rows = [("T", T, m, T, _fmt(lam))
+                for T, row in zip(map(_fmt, T_fixed), by_T.tolist())
+                for m, lam in zip(m_text, row)]
+        rows += [("m", m, m, T, _fmt(lam))
+                 for m, row in zip(map(_fmt, m_fixed), by_m.tolist())
+                 for T, lam in zip(T_text, row)]
         with open(os.path.join(outdir, name + "_slices.csv"), "w",
                   newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["slice", "fixed_value", "m", "T", "lambda"])
-            for T, row in zip(T_fixed, by_T):
-                for m, lam in zip(ms, row):
-                    w.writerow(["T", _fmt(T), _fmt(float(m)), _fmt(T),
-                                _fmt(float(lam))])
-            for m, row in zip(m_fixed, by_m):
-                for T, lam in zip(Ts, row):
-                    w.writerow(["m", _fmt(m), _fmt(m), _fmt(float(T)),
-                                _fmt(float(lam))])
+            _write_rows(fh, ["slice", "fixed_value", "m", "T", "lambda"], rows)
     return run
 
 
@@ -273,19 +275,19 @@ def _repro_slow_curve(name, model_ref, m, T):
         params = model_mod.ModelParameters(m=m, T=T)
         traj = dynamics.periodic_simplex_solution(mdl, params)
         from .spectral import perron_frobenius_metzler
+        n = mdl.n
+        rows = []
+        for t, theta in zip(traj.times.tolist(), traj.states.tolist()):
+            tau = t / T
+            A = (mdl.growth.value(min(tau, 1 - 1e-12))
+                 + m * mdl.migration.value(min(tau, 1 - 1e-12)))
+            _, v = perron_frobenius_metzler(A)
+            rows.append([_fmt(tau)] + [_fmt(x) for x in theta]
+                        + [_fmt(x) for x in v.tolist()])
         with open(os.path.join(outdir, name + "_slow_curve.csv"), "w",
                   newline="") as fh:
-            w = csv.writer(fh)
-            n = mdl.n
-            w.writerow(["tau"] + [f"theta_{i+1}" for i in range(n)]
-                       + [f"v_{i+1}" for i in range(n)])
-            for t, theta in zip(traj.times, traj.states):
-                tau = float(t) / T
-                A = (mdl.growth.value(min(tau, 1 - 1e-12))
-                     + m * mdl.migration.value(min(tau, 1 - 1e-12)))
-                _, v = perron_frobenius_metzler(A)
-                w.writerow([_fmt(tau)] + [_fmt(float(x)) for x in theta]
-                           + [_fmt(float(x)) for x in v])
+            _write_rows(fh, ["tau"] + [f"theta_{i+1}" for i in range(n)]
+                        + [f"v_{i+1}" for i in range(n)], rows)
     return run
 
 

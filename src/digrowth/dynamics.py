@@ -322,7 +322,9 @@ def _scaled_root(widths: np.ndarray, T: np.ndarray,
     logscale = np.zeros(size)
     broken = np.zeros(size, dtype=bool)
     for w, A in zip(widths, mats):
-        E, l, bad = _expm_scaled_stack((w * T)[:, None, None] * A)
+        with np.errstate(over="ignore"):  # an infinite norm marks the cell
+            B = (w * T)[:, None, None] * A
+        E, l, bad = _expm_scaled_stack(B)
         broken |= bad
         M = E @ M
         logscale += l

@@ -11,13 +11,19 @@ threshold chi generalizes to the stationary average of max_i r_i(s).
 Simulation is exact-event: exponential holding times, the dwell flow applied
 through a cached per-state eigendecomposition with the dominant exponent
 factored out (so arbitrarily long dwells never overflow), renormalization to
-the simplex at every jump, and a batch-means standard error.
+the simplex at every jump, and a batch-means standard error.  The initial
+state and every jump are drawn from cumulative laws built once per call, the
+way ``Generator.choice`` builds them (``cdf = p.cumsum(); cdf /= cdf[-1]``),
+as ``bisect_right(cdf, rng.random())``: the uniform and the right-sided
+search that ``choice`` itself makes, so a seed gives the path ``choice``
+would give without rebuilding and re-checking the law at every jump.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -163,14 +169,31 @@ class _DwellFlow:
     # renormalizes once more at the jump, which is harmless
 
 
+def _cdf(p: np.ndarray) -> list[float]:
+    """The cumulative law ``Generator.choice`` samples ``p`` by: the index
+    ``bisect_right(_cdf(p), rng.random())`` is ``rng.choice(len(p), p=p)``,
+    drawn from the same uniform."""
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    return cdf.tolist()
+
+
 def simulate_lyapunov(env: MarkovEnvironment, m: float, T: float,
                       horizon: float, seed: int = DEFAULT_SEED,
                       batches: int = DEFAULT_BATCHES) -> LyapunovEstimate:
     """Monte-Carlo estimate of the Lyapunov exponent at time dilation T.
 
     One trajectory of length ``horizon``; the estimate is the accumulated
-    log-growth over the horizon, with a batch-means standard error.
+    log-growth over the horizon, with a batch-means standard error.  Raises
+    ValueError unless m is finite and >= 0 and T and the horizon are finite
+    and > 0.
     """
+    if not (math.isfinite(m) and m >= 0.0):
+        raise ValueError("simulate_lyapunov needs finite m >= 0")
+    if not (math.isfinite(T) and T > 0.0):
+        raise ValueError("simulate_lyapunov needs finite T > 0")
+    if not (math.isfinite(horizon) and horizon > 0.0):
+        raise ValueError("simulate_lyapunov needs a finite horizon > 0")
     n = env.n_patches
     if env.n_states == 1:
         # no switching: the exponent is exactly the spectral abscissa
@@ -179,28 +202,30 @@ def simulate_lyapunov(env: MarkovEnvironment, m: float, T: float,
                                 renormalizations=0, seed=seed)
     mu = stationary_distribution(env)
     rng = np.random.default_rng(seed)
-    flows = [_DwellFlow(env.matrix(s, m)) for s in range(env.n_states)]
-    exit_rates = -np.diag(env.Q)
-    jump_probs = []
+    random, exponential = rng.random, rng.exponential
+    applies = [_DwellFlow(env.matrix(s, m)).apply
+               for s in range(env.n_states)]
+    scales = (1.0 / -np.diag(env.Q)).tolist()
+    jump_cdfs = []
     for s in range(env.n_states):
         p = env.Q[s].copy()
         p[s] = 0.0
-        jump_probs.append(p / p.sum())
+        jump_cdfs.append(_cdf(p / p.sum()))
 
-    s = int(rng.choice(env.n_states, p=mu))
+    s = bisect_right(_cdf(mu), random())
     x = np.full(n, 1.0 / n)
     t = 0.0
     jumps = 0
-    batch_logs = np.zeros(batches)
-    batch_time = np.zeros(batches)
+    batch_logs = [0.0] * batches
+    batch_time = [0.0] * batches
     total_log = 0.0
     bwidth = horizon / batches
     while t < horizon:
-        dwell = T * rng.exponential(1.0 / exit_rates[s])
+        dwell = T * exponential(scales[s])
         dt = min(dwell, horizon - t)
-        x, gain = flows[s].apply(x, dt)
+        x, gain = applies[s](x, dt)
         norm = x.sum()
-        if not np.isfinite(norm) or norm <= 0.0:
+        if not (math.isfinite(norm) and norm > 0.0):
             raise StochasticError("trajectory left the positive cone")
         gain += math.log(norm)
         x /= norm
@@ -210,12 +235,13 @@ def simulate_lyapunov(env: MarkovEnvironment, m: float, T: float,
         total_log += gain
         t += dt
         if dt == dwell:
-            s = int(rng.choice(env.n_states, p=jump_probs[s]))
+            s = bisect_right(jump_cdfs[s], random())
             jumps += 1
     if jumps < MIN_JUMPS:
         raise DegenerateHorizon(
             f"only {jumps} jumps over the horizon; lengthen it or shrink T")
     lambda_hat = total_log / horizon
+    batch_logs, batch_time = np.array(batch_logs), np.array(batch_time)
     means = batch_logs / np.where(batch_time > 0, batch_time, 1.0)
     used = batch_time > 0.5 * bwidth
     k = int(used.sum())

@@ -133,12 +133,14 @@ def test_classify(capsys):
     assert doc["case"] == "Case1" and doc["dig_possible"]
 
 
-def test_simulate(capsys, tmp_path):
-    env = {"states": [{"R": [0.5, -1.5], "L": [[-1, 1], [1, -1]]},
+SIM_ENV = {"states": [{"R": [0.5, -1.5], "L": [[-1, 1], [1, -1]]},
                       {"R": [-1.5, 0.5], "L": [[-1, 1], [1, -1]]}],
            "Q": [[-1, 1], [1, -1]]}
+
+
+def test_simulate(capsys, tmp_path):
     path = tmp_path / "env.json"
-    path.write_text(json.dumps(env))
+    path.write_text(json.dumps(SIM_ENV))
     code, out, _ = run(capsys, "simulate", str(path), "--m", "1", "--T",
                        "0.5", "--horizon", "300", "--seed", "7")
     assert code == 0
@@ -148,6 +150,50 @@ def test_simulate(capsys, tmp_path):
     code, out2, _ = run(capsys, "simulate", str(path), "--m", "1", "--T",
                         "0.5", "--horizon", "300", "--seed", "7")
     assert out2 == out
+
+
+@pytest.mark.parametrize("option, value", [("--T", "0"), ("--horizon", "nan"),
+                                           ("--m", "-1")])
+def test_simulate_rejects_parameters_outside_the_domain(capsys, tmp_path,
+                                                        option, value):
+    path = tmp_path / "env.json"
+    path.write_text(json.dumps(SIM_ENV))
+    argv = {"--m": "1", "--T": "0.5", "--horizon": "300", option: value}
+    code, out, err = run(capsys, "simulate", str(path),
+                         *[x for kv in argv.items() for x in kv])
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "usage"
+
+
+def test_csv_writers_match_the_csv_module():
+    # the writers join fields themselves; the bytes must be csv.writer's
+    import csv
+    mdl = M.builtin("three_patch_reducible")
+    grid = explorer.sweep(mdl, (1e-2, 1e2), (1e2, 1e5), (4, 5))
+    assert set(grid.status.ravel()) == {"ok", "error"}
+    want = io.StringIO()
+    w = csv.writer(want)
+    w.writerow(["m", "T", "lambda", "status"])
+    for i, m in enumerate(grid.m_values):
+        for j, T in enumerate(grid.T_values):
+            w.writerow([f"{m:.15g}", f"{T:.15g}", f"{grid.lam[i, j]:.15g}",
+                        grid.status[i, j]])
+    got = io.StringIO()
+    cli._write_sweep_csv(grid, got)
+    assert got.getvalue() == want.getvalue()
+    curve = explorer.CriticalCurve(
+        branches=[np.array([[0.5, 2.0], [1.5, 4.0]]), np.array([[3.0, 8.0]])],
+        residuals=[np.array([1e-9, -0.0]), np.array([np.inf])], tol=1e-8)
+    want = io.StringIO()
+    w = csv.writer(want)
+    w.writerow(["branch", "m", "T", "nu", "lambda_residual"])
+    for b, (branch, res) in enumerate(zip(curve.branches, curve.residuals)):
+        for (m, T), r in zip(branch, res):
+            w.writerow([b, f"{m:.15g}", f"{T:.15g}", f"{1 / T:.15g}",
+                        f"{r:.15g}"])
+    got = io.StringIO()
+    cli._write_curve_csv(curve, got)
+    assert got.getvalue() == want.getvalue()
 
 
 def test_fifteen_significant_digits(capsys):

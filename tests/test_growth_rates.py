@@ -1,5 +1,7 @@
 """The batched growth-rate kernel against the scalar growth_rate."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -75,6 +77,15 @@ def test_scaling_breakdown_is_an_error_cell():
     assert np.isfinite(lam[0]) and np.isnan(lam[1])
     with np.errstate(over="ignore"), pytest.raises(D.IntegrationFailure):
         D.growth_rate(M.builtin("ab1"), ModelParameters(1.0, 1e308))
+
+
+def test_three_patch_overflowing_period_is_an_error_cell_without_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        lam, status = D.growth_rates(M.builtin("fainshil(0.1,0.1)"), 100.0,
+                                     [1.0, 1e306])
+    assert list(status) == ["ok", "error"]
+    assert np.isfinite(lam[0]) and np.isnan(lam[1])
 
 
 def test_rejects_nonpositive_m_and_T():

@@ -1,7 +1,11 @@
 """Markov-switched environments: stationary laws, limits, simulation."""
 
+import math
+from bisect import bisect_right
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from digrowth import stochastic as S
 from digrowth.spectral import spectral_abscissa
@@ -121,3 +125,144 @@ def test_env_json_round_trip(tmp_path):
     assert env.n_states == 2 and env.n_patches == 2
     with pytest.raises(S.StochasticError):
         S.from_dict({"states": []})
+
+
+@pytest.mark.parametrize("m, T, horizon", [
+    (1.0, 0.0, 100.0), (1.0, -1.0, 100.0), (1.0, math.nan, 100.0),
+    (1.0, math.inf, 100.0), (1.0, 1.0, 0.0), (1.0, 1.0, -5.0),
+    (1.0, 1.0, math.nan), (1.0, 1.0, math.inf), (-0.5, 1.0, 100.0),
+    (math.nan, 1.0, 100.0), (math.inf, 1.0, 100.0)])
+def test_rejects_parameters_outside_the_domain(m, T, horizon):
+    # at T = 0 every dwell is 0, so the clock would never reach the horizon
+    single = S.environment([([0.5, -1.5], L_SYM)], [[0.0]])
+    for env in (pm1_twin(), single):
+        with pytest.raises(ValueError):
+            S.simulate_lyapunov(env, m, T, horizon)
+
+
+def test_zero_migration_is_allowed():
+    est = S.simulate_lyapunov(pm1_twin(), 0.0, 1.0, 300.0, seed=1)
+    assert np.isfinite(est.lambda_hat)
+
+
+def _simulate_with_choice(env, m, T, horizon, seed,
+                          batches=S.DEFAULT_BATCHES):
+    """The simulator as it was with one ``Generator.choice`` call per jump,
+    which the CDF sampler must reproduce bit for bit.  It shares
+    ``_DwellFlow``, so it pins the sampling and the bookkeeping."""
+    n = env.n_patches
+    mu = S.stationary_distribution(env)
+    rng = np.random.default_rng(seed)
+    flows = [S._DwellFlow(env.matrix(s, m)) for s in range(env.n_states)]
+    exit_rates = -np.diag(env.Q)
+    jump_probs = []
+    for s in range(env.n_states):
+        p = env.Q[s].copy()
+        p[s] = 0.0
+        jump_probs.append(p / p.sum())
+
+    s = int(rng.choice(env.n_states, p=mu))
+    x = np.full(n, 1.0 / n)
+    t = 0.0
+    jumps = 0
+    batch_logs = np.zeros(batches)
+    batch_time = np.zeros(batches)
+    total_log = 0.0
+    bwidth = horizon / batches
+    while t < horizon:
+        dwell = T * rng.exponential(1.0 / exit_rates[s])
+        dt = min(dwell, horizon - t)
+        x, gain = flows[s].apply(x, dt)
+        norm = x.sum()
+        if not np.isfinite(norm) or norm <= 0.0:
+            raise S.StochasticError("trajectory left the positive cone")
+        gain += math.log(norm)
+        x /= norm
+        k = min(batches - 1, int(t / bwidth))
+        batch_logs[k] += gain
+        batch_time[k] += dt
+        total_log += gain
+        t += dt
+        if dt == dwell:
+            s = int(rng.choice(env.n_states, p=jump_probs[s]))
+            jumps += 1
+    if jumps < S.MIN_JUMPS:
+        raise S.DegenerateHorizon(
+            f"only {jumps} jumps over the horizon; lengthen it or shrink T")
+    means = batch_logs / np.where(batch_time > 0, batch_time, 1.0)
+    used = batch_time > 0.5 * bwidth
+    k = int(used.sum())
+    stderr = float(means[used].std(ddof=1) / math.sqrt(k)) if k > 1 else math.inf
+    return S.LyapunovEstimate(lambda_hat=float(total_log / horizon),
+                              stderr=max(stderr, 1e-300), horizon=horizon,
+                              renormalizations=jumps, seed=seed)
+
+
+def _outcome(simulate, *args):
+    try:
+        est = simulate(*args)
+    except S.StochasticError as exc:
+        return type(exc), str(exc)
+    return est.lambda_hat, est.stderr, est.renormalizations
+
+
+def _assert_same_path(env, m, T, horizon, seed):
+    args = (env, m, T, horizon, seed)
+    got = _outcome(S.simulate_lyapunov, *args)
+    assert got == _outcome(_simulate_with_choice, *args)
+    return got
+
+
+@st.composite
+def switched_environments(draw):
+    """2-3 states over 2-3 patches, every migration and chain rate positive."""
+    N = draw(st.integers(2, 3))
+    n = draw(st.integers(2, 3))
+    states = []
+    for _ in range(N):
+        rates = draw(st.lists(st.floats(-2.0, 1.0), min_size=n, max_size=n))
+        L = np.zeros((n, n))
+        L[~np.eye(n, dtype=bool)] = draw(st.lists(
+            st.floats(0.1, 2.0), min_size=n * (n - 1), max_size=n * (n - 1)))
+        states.append((rates, L - np.diag(L.sum(axis=0))))
+    Q = np.zeros((N, N))
+    Q[~np.eye(N, dtype=bool)] = draw(st.lists(
+        st.floats(0.5, 2.0), min_size=N * (N - 1), max_size=N * (N - 1)))
+    return S.environment(states, Q - np.diag(Q.sum(axis=1)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(env=switched_environments(), log_m=st.floats(-2.0, 1.0),
+       log_T=st.floats(-3.0, 2.0), jumps=st.floats(100.0, 600.0),
+       seed=st.integers(0, 2 ** 31))
+def test_cdf_sampler_reproduces_choice_path(env, log_m, log_T, jumps, seed):
+    T = 10.0 ** log_T
+    _assert_same_path(env, 10.0 ** log_m, T, jumps * T, seed)
+
+
+@pytest.mark.parametrize("T", [1e-3, 0.5, 20.0])
+def test_defective_state_reproduces_choice_path(T):
+    # at m = 1 the first state's matrix is the Jordan block [[0, 0], [1, 0]]
+    env = S.environment([([1.0, 0.0], [[-1.0, 0.0], [1.0, 0.0]]),
+                         ([-0.5, 0.2], L_SYM)], [[-1.0, 1.0], [2.0, -2.0]])
+    assert not S._DwellFlow(env.matrix(0, 1.0)).diagonalizable
+    got = _assert_same_path(env, 1.0, T, 400.0 * T, 17)
+    assert got[2] >= S.MIN_JUMPS
+
+
+@pytest.mark.parametrize("p", [
+    [0.25, 0.75], [0.7, 0.3], [1 / 3, 1 / 3, 1 / 3], [0.0, 0.3, 0.7],
+    [0.2, 0.0, 0.8], [0.5, 0.5, 0.0], [0.1, 0.0, 0.0, 0.6, 0.3], [1.0],
+    [0.0, 1.0], [0.1] * 10])
+def test_cdf_draws_what_choice_draws(p):
+    # draw for draw on one stream, interleaved with the dwell draws; a NumPy
+    # whose choice samples differently fails here
+    p = np.array(p)
+    cdf = S._cdf(p)
+    a, b = np.random.default_rng(2024), np.random.default_rng(2024)
+    want, got = [], []
+    for _ in range(5000):
+        want.append((int(a.choice(len(p), p=p)), a.exponential(0.7)))
+        got.append((bisect_right(cdf, b.random()), b.exponential(0.7)))
+    assert got == want
+    assert {i for i, _ in got} == set(np.flatnonzero(p).tolist())
