@@ -10,7 +10,10 @@ the thousands.  ``growth_rates`` evaluates Lambda over whole arrays of
 (m, T) in stacked passes, for sweeps and scans.  For two patches it takes
 each segment exponential and the final Perron root in closed form, written
 so that no entry is formed as a difference that cancels: no Pade step, no
-squaring and no eigensolver.
+squaring and no eigensolver.  For three or more it exponentiates all
+segments of all cells of a block in one ``spectral.expm_stack_scaled``
+pass and takes the root from one stacked eigensolve.  The scalar
+``growth_rate`` keeps its own per-segment path on ``scipy.linalg.expm``.
 
 The simplex reduction theta = x / sum(x) obeys
 dtheta/dt = A theta - <A theta, 1> theta and has a unique globally attracting
@@ -28,15 +31,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import ModelParameters, PatchModel, ValidationStatus
-from .spectral import expm, perron_frobenius_metzler, perron_positive
+from .spectral import (expm, expm_stack_scaled, perron_frobenius_metzler,
+                       perron_positive)
 
 RK4_MIN_STEPS = 2_000
 DEFECT_TOL = 1e-8
 # target on ||h * T * A|| per exponential sub-step, keeps factors representable
 _STEP_BUDGET = 10.0
 _MAX_NODES = 400_000
-# cells per stacked pass of growth_rates: its working arrays take about
-# 0.7 kB per cell, so this bounds its memory whatever the grid size
+# cells per stacked pass of growth_rates, which bounds its memory whatever
+# the grid size.  Peak working memory by tracemalloc: 0.5 and 0.7 kB per
+# cell for two patches over 2 and 3 segments, and for three patches about
+# 0.8 kB per cell and segment, since the fused exponential stack holds all
+# K segments at once (1.7 and 2.4 kB per cell over 2 and 3 segments)
 _BLOCK_CELLS = 1024
 
 
@@ -206,41 +213,9 @@ _STATUS_ERRORS = {
 }
 
 
-def _expm_scaled_stack(A: np.ndarray) -> tuple[np.ndarray, np.ndarray,
-                                                np.ndarray]:
-    """``_expm_scaled`` over a stack (N, n, n): (E, l, broken) with
-    e^{A[c]} = e^{l[c]} E[c], the same squaring count per cell from its
-    1-norm, and ``broken`` marking cells whose scaling broke down.
-    """
-    with np.errstate(over="ignore"):  # an infinite norm marks the cell
-        nrm = np.abs(A).sum(axis=1).max(axis=1)
-    broken = ~np.isfinite(nrm)
-    big = (nrm > _STEP_BUDGET) & ~broken
-    j = np.zeros(len(A), dtype=int)
-    j[big] = np.ceil(np.log2(nrm[big] / _STEP_BUDGET))
-    A = np.where(broken[:, None, None], 0.0, A)
-    E = expm(A / (2.0 ** j)[:, None, None])
-    c = np.abs(E).max(axis=(1, 2))
-    pos = c > 0.0
-    c = np.where(pos, c, 1.0)
-    E /= c[:, None, None]
-    l = np.where(pos, np.log(c), 0.0)
-    for s in range(int(j.max(initial=0))):
-        k = np.flatnonzero((j > s) & ~broken)
-        Ek = E[k] @ E[k]
-        c = np.abs(Ek).max(axis=(1, 2))
-        fail = ~(np.isfinite(c) & (c > 0.0))
-        broken[k[fail]] = True
-        E[k[fail]] = np.eye(A.shape[1])
-        k, Ek, c = k[~fail], Ek[~fail], c[~fail]
-        E[k] = Ek / c[:, None, None]
-        l[k] = 2.0 * l[k] + np.log(c)
-    return E, l, broken
-
-
 def _expm2_scaled(B: np.ndarray) -> tuple[tuple[np.ndarray, ...], np.ndarray,
                                           np.ndarray]:
-    """``_expm_scaled_stack`` in closed form for 2x2 Metzler matrices B
+    """``expm_stack_scaled`` in closed form for 2x2 Metzler matrices B
     (..., 2, 2): (E, l, broken) with e^B = e^l E, where E is the tuple of
     entry arrays (E00, E01, E10, E11), every entry >= 0, and nothing is
     squared.
@@ -316,25 +291,29 @@ def _scaled_root(widths: np.ndarray, T: np.ndarray,
     """(logscale, root, broken) per cell: Phi(T) = e^logscale M with M the
     product of the scaled segment exponentials, each step rescaled to unit
     max entry, root the dominant eigenvalue of M from one stacked dense
-    solve, and ``broken`` marking cells whose scaling broke down."""
-    size, n = mats.shape[1], mats.shape[-1]
-    M = np.broadcast_to(np.eye(n), (size, n, n)).copy()
+    solve, and ``broken`` marking cells whose scaling broke down.  The
+    exponentials of all segments and cells come from one
+    ``expm_stack_scaled`` call on the (K * cells, n, n) stack."""
+    K, size, n = mats.shape[0], mats.shape[1], mats.shape[-1]
+    with np.errstate(over="ignore"):  # an infinite norm marks the cell
+        B = (widths[:, None] * T)[:, :, None, None] * mats
+    E, l, bad = expm_stack_scaled(B.reshape(K * size, n, n))
+    E, l = E.reshape(K, size, n, n), l.reshape(K, size)
+    broken = bad.reshape(K, size).any(axis=0)
     logscale = np.zeros(size)
-    broken = np.zeros(size, dtype=bool)
-    for w, A in zip(widths, mats):
-        with np.errstate(over="ignore"):  # an infinite norm marks the cell
-            B = (w * T)[:, None, None] * A
-        E, l, bad = _expm_scaled_stack(B)
-        broken |= bad
-        M = E @ M
-        logscale += l
-        c = np.abs(M).max(axis=(1, 2))
-        fail = ~(np.isfinite(c) & (c > 0.0))
-        broken |= fail
-        M[fail] = np.eye(n)
-        c[fail] = 1.0
-        M /= c[:, None, None]
-        logscale += np.log(c)
+    M = E[0]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # a product that underflows to 0 leaves its logscale non-finite
+        for k in range(K):
+            if k:
+                M = E[k] @ M
+            c = np.abs(M.reshape(size, n * n)).max(axis=1)
+            M /= c[:, None, None]
+            logscale += l[k]
+            logscale += np.log(c)
+    fail = ~np.isfinite(logscale)
+    broken |= fail
+    M[fail] = np.eye(n)
     clip = M.min(axis=(1, 2)) > -1e-13
     M = np.where(clip[:, None, None], np.maximum(M, 0.0), M)
     root = np.linalg.eigvals(M).real.max(axis=1)
@@ -367,12 +346,14 @@ def growth_rates(model: PatchModel, m, T) -> tuple[np.ndarray, np.ndarray]:
     go in blocks of _BLOCK_CELLS.  Per block the segment matrices
     A_k = R_k + m L_k of all cells are formed at once, and each cell's
     segment exponentials are multiplied in order with their own log-scale.
-    With three or more patches the exponentials are scaled and squared as
-    in ``_expm_scaled`` and the Perron root is the dominant eigenvalue from
-    one stacked dense solve.  With two patches both are closed forms on
-    the entry arrays of all cells and segments (``_expm2_scaled``,
-    ``_perron_root2``) whose every entry is a sum of nonnegative terms, so
-    small entries keep their relative accuracy.
+    With three or more patches the exponentials of all segments and cells
+    of a block come from one ``expm_stack_scaled`` call, one Pade-13 and
+    one rescaled squaring loop over the (K * cells, n, n) stack, and the
+    Perron root is the dominant eigenvalue from one stacked dense solve.
+    With two patches both are closed forms on the entry arrays of all cells
+    and segments (``_expm2_scaled``, ``_perron_root2``) whose every entry
+    is a sum of nonnegative terms, so small entries keep their relative
+    accuracy.
     A cell's value does not depend on the other cells of the batch.  Any
     other exception propagates.
     """

@@ -129,23 +129,16 @@ def _refine_crossings(model: PatchModel, keys: list[tuple], mv: np.ndarray,
             h, c in zip(keys, roots, values, horiz, fixed)}
 
 
-def critical_curve(model: PatchModel,
-                   m_range: tuple[float, float] = DEFAULT_M_RANGE,
-                   T_range: tuple[float, float] = DEFAULT_T_RANGE,
-                   resolution: int | tuple[int, int] = DEFAULT_RESOLUTION,
-                   tol: float = CURVE_TOL,
-                   grid: SweepGrid | None = None) -> CriticalCurve:
-    """Zero-level set of Lambda(m, T) as refined polyline branches."""
-    if grid is None:
-        grid = sweep(model, m_range, T_range, resolution)
-    mv, Tv, lam = grid.m_values, grid.T_values, grid.lam
-    ok = grid.ok() & np.isfinite(lam)
-    pos = lam > 0.0
+def _crossing_links(ok: np.ndarray,
+                    pos: np.ndarray) -> dict[tuple, list[tuple]]:
+    """Connectivity graph between the grid edges where the sign ``pos``
+    flips, linked within each cell whose four corners are ``ok``.  Edge keys
+    are as in ``_refine_crossings``; cells are visited in row-major order,
+    and the graph is kept in lists, not sets, so that the walk over it does
+    not depend on hash order."""
 
     def crossings(i, j):
         """Edge keys of the cell (i, j)..(i+1, j+1) where the sign flips."""
-        if not (ok[i, j] and ok[i + 1, j] and ok[i, j + 1] and ok[i + 1, j + 1]):
-            return []
         keys = []
         if pos[i, j] != pos[i + 1, j]:
             keys.append(("h", i, j))
@@ -157,25 +150,38 @@ def critical_curve(model: PatchModel,
             keys.append(("v", i + 1, j))
         return keys
 
-    # connectivity graph between edge crossings, linked within each cell;
-    # lists, not sets, so that the walk does not depend on hash order
+    # only the cells with all four corners usable and a sign flip on some
+    # edge contribute
+    corners_ok = ok[:-1, :-1] & ok[1:, :-1] & ok[:-1, 1:] & ok[1:, 1:]
+    flips = ((pos[:-1, :-1] != pos[1:, :-1]) | (pos[:-1, 1:] != pos[1:, 1:])
+             | (pos[:-1, :-1] != pos[:-1, 1:]) | (pos[1:, :-1] != pos[1:, 1:]))
+    rows, cols = np.nonzero(corners_ok & flips)
     links: dict[tuple, list[tuple]] = {}
-    for i in range(len(mv) - 1):
-        for j in range(len(Tv) - 1):
-            keys = crossings(i, j)
-            if len(keys) == 2:
-                a, b = keys
-                links.setdefault(a, []).append(b)
-                links.setdefault(b, []).append(a)
-            elif len(keys) == 4:
-                # saddle cell: pair edges arbitrarily but consistently
-                h_keys = [k for k in keys if k[0] == "h"]
-                v_keys = [k for k in keys if k[0] == "v"]
-                pairs = list(zip(h_keys, v_keys)) if h_keys and v_keys \
-                    else [(keys[0], keys[1]), (keys[2], keys[3])]
-                for a, b in pairs:
-                    links.setdefault(a, []).append(b)
-                    links.setdefault(b, []).append(a)
+    for i, j in zip(rows.tolist(), cols.tolist()):
+        keys = crossings(i, j)
+        # a cycle of four edges flips sign an even number of times: 2 or 4
+        if len(keys) == 2:
+            pairs = [keys]
+        else:
+            # saddle cell: pair each h edge with a v edge, consistently
+            pairs = [(keys[0], keys[2]), (keys[1], keys[3])]
+        for a, b in pairs:
+            links.setdefault(a, []).append(b)
+            links.setdefault(b, []).append(a)
+    return links
+
+
+def critical_curve(model: PatchModel,
+                   m_range: tuple[float, float] = DEFAULT_M_RANGE,
+                   T_range: tuple[float, float] = DEFAULT_T_RANGE,
+                   resolution: int | tuple[int, int] = DEFAULT_RESOLUTION,
+                   tol: float = CURVE_TOL,
+                   grid: SweepGrid | None = None) -> CriticalCurve:
+    """Zero-level set of Lambda(m, T) as refined polyline branches."""
+    if grid is None:
+        grid = sweep(model, m_range, T_range, resolution)
+    mv, Tv, lam = grid.m_values, grid.T_values, grid.lam
+    links = _crossing_links(grid.ok() & np.isfinite(lam), lam > 0.0)
     if not links:
         raise NoZeroCrossing("Lambda has uniform sign on the usable grid")
     points = _refine_crossings(model, list(links), mv, Tv, lam, tol)

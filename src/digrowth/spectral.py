@@ -2,11 +2,16 @@
 
 Contents:
 
+* ``expm_stack_scaled`` — e^A = e^l E for each matrix of a stack (N, n, n),
+  by Padé-13 scaling and squaring in NumPy over the whole stack (Higham,
+  SIAM J. Matrix Anal. Appl. 26(4), 2005): one scaling, one Padé-13 and one
+  ``solve`` for the stack, then squarings rescaled to unit max entry, each
+  matrix with its own squaring count from its 1-norm, so a matrix's
+  exponential does not depend on the rest of the stack.  It is the only
+  scaling-and-squaring loop of the package; the batched growth rate
+  exponentiates every segment of every cell in one call.
 * ``expm`` — matrix exponential.  A single matrix goes to
-  ``scipy.linalg.expm``.  A stack (N, n, n) is computed in NumPy by Padé-13
-  scaling and squaring over the whole stack (Higham, SIAM J. Matrix Anal.
-  Appl. 26(4), 2005), each matrix with its own squaring count from its
-  1-norm, so a matrix's exponential does not depend on the rest of the stack.
+  ``scipy.linalg.expm``; a stack is E e^l from ``expm_stack_scaled``.
 * ``perron_positive`` — dominant eigenpair of an entrywise-positive matrix by
   power iteration, with a dense-eigensolver fallback.
 * ``perron_frobenius_metzler`` — spectral abscissa and nonnegative right
@@ -41,24 +46,46 @@ _THETA13 = 5.371920351148152
 
 def expm(A: np.ndarray) -> np.ndarray:
     """Matrix exponential e^A of one matrix (n, n) or of each matrix of a
-    stack (N, n, n)."""
+    stack (N, n, n); a stack is E e^l from ``expm_stack_scaled``, NaN where
+    a norm is not finite."""
     A = np.asarray(A, dtype=float)
     if A.ndim == 2:
         return scipy.linalg.expm(A)
-    return _expm_stack(A)
+    E, l, broken = expm_stack_scaled(A)
+    E *= np.exp(l)[:, None, None]
+    E[broken] = np.nan
+    return E
 
 
-def _expm_stack(A: np.ndarray) -> np.ndarray:
-    """Padé-13 scaling and squaring over a stack (N, n, n): each matrix is
-    scaled by 2^-s with s = ceil(log2(||A||_1 / theta_13)), and at step k
-    only the matrices with s > k are squared."""
-    nrm = np.abs(A).sum(axis=1).max(axis=1)
-    s = np.zeros(len(A), dtype=int)
-    big = (nrm > _THETA13) & np.isfinite(nrm)
+def expm_stack_scaled(A: np.ndarray) -> tuple[np.ndarray, np.ndarray,
+                                               np.ndarray]:
+    """(E, l, broken) over a stack (N, n, n), with e^{A[c]} = e^{l[c]} E[c].
+
+    Padé-13 scaling and squaring (Higham 2005) in one pass over the stack:
+    each matrix is scaled once by 2^-s, s = ceil(log2(||A||_1 / theta_13)),
+    one Padé-13 and one ``solve`` run over all of them, and s squarings
+    follow.  The Padé result and every square are rescaled to unit max
+    entry, with the log of the factor added to l, so no entry overflows
+    however large s is.  The stack is sorted by s, largest first, so
+    squaring step k runs on the prefix of the matrices with s > k.
+    ``broken`` marks matrices whose 1-norm is not finite or whose rescaling
+    broke down (a max entry of 0 or not finite); E = I and l = 0 there.
+    A matrix's (E, l) does not depend on the rest of the stack.
+    """
+    N, n = len(A), A.shape[-1]
+    with np.errstate(over="ignore"):  # an infinite norm marks the matrix
+        nrm = np.abs(A).sum(axis=1).max(axis=1)
+    broken = ~np.isfinite(nrm)
+    s = np.zeros(N, dtype=int)
+    big = (nrm > _THETA13) & ~broken
     s[big] = np.ceil(np.log2(nrm[big] / _THETA13))
-    A = A / (2.0 ** s)[:, None, None]
+    order = np.argsort(-s, kind="stable")
+    s, broken = s[order], broken[order]
+    A = A[order]
+    A[broken] = 0.0
+    A /= (2.0 ** s)[:, None, None]
     b = _PADE13
-    ident = np.eye(A.shape[1])
+    ident = np.eye(n)
     A2 = A @ A
     A4 = A2 @ A2
     A6 = A4 @ A2
@@ -67,10 +94,27 @@ def _expm_stack(A: np.ndarray) -> np.ndarray:
     V = (A6 @ (b[12] * A6 + b[10] * A4 + b[8] * A2)
          + b[6] * A6 + b[4] * A4 + b[2] * A2 + b[0] * ident)
     E = np.linalg.solve(V - U, V + U)
-    for k in range(int(s.max(initial=0))):
-        idx = np.flatnonzero(s > k)
-        E[idx] = E[idx] @ E[idx]
-    return E
+
+    def rescale(F, p):
+        """Write F / max|F| over E[:p]; the logs of the factors."""
+        c = np.abs(F.reshape(p, n * n)).max(axis=1)
+        np.divide(F, c[:, None, None], out=E[:p])
+        return np.log(c)
+
+    # prefix lengths: the matrices with s > k lead the stack at step k
+    ends = np.searchsorted(-s, -np.arange(s.max(initial=0)), side="left")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # a factor that is 0 or not finite leaves l non-finite for good
+        l = rescale(E, N)
+        for p in ends.tolist():
+            l[:p] = 2.0 * l[:p] + rescale(E[:p] @ E[:p], p)
+    fail = ~np.isfinite(l)
+    broken |= fail
+    E[fail] = ident
+    l[fail] = 0.0
+    inverse = np.empty_like(order)
+    inverse[order] = np.arange(N)
+    return E[inverse], l[inverse], broken[inverse]
 
 
 def reachability(A: np.ndarray, tol: float = 1e-14) -> np.ndarray:

@@ -34,6 +34,10 @@ GENERATOR_ROW_TOL = 1e-12
 MIN_JUMPS = 100
 DEFAULT_BATCHES = 20
 DEFAULT_SEED = 20260826
+# cap on the expected jumps of one simulate_lyapunov call, horizon times the
+# largest exit rate over T: about 20 min at 12 us per jump, and far below the
+# 2^53 mean dwells past which t += dt stops advancing the clock
+MAX_EXPECTED_JUMPS = 1e8
 
 
 class StochasticError(Exception):
@@ -186,7 +190,8 @@ def simulate_lyapunov(env: MarkovEnvironment, m: float, T: float,
     One trajectory of length ``horizon``; the estimate is the accumulated
     log-growth over the horizon, with a batch-means standard error.  Raises
     ValueError unless m is finite and >= 0 and T and the horizon are finite
-    and > 0.
+    and > 0, and when the expected jump count, horizon * max_s(-Q_ss) / T,
+    exceeds MAX_EXPECTED_JUMPS.
     """
     if not (math.isfinite(m) and m >= 0.0):
         raise ValueError("simulate_lyapunov needs finite m >= 0")
@@ -194,6 +199,12 @@ def simulate_lyapunov(env: MarkovEnvironment, m: float, T: float,
         raise ValueError("simulate_lyapunov needs finite T > 0")
     if not (math.isfinite(horizon) and horizon > 0.0):
         raise ValueError("simulate_lyapunov needs a finite horizon > 0")
+    expected_jumps = horizon * float(-np.diag(env.Q).min()) / T
+    if expected_jumps > MAX_EXPECTED_JUMPS:
+        raise ValueError(f"simulate_lyapunov would make about "
+                         f"{expected_jumps:.3g} jumps, more than "
+                         f"{MAX_EXPECTED_JUMPS:.0e}; shorten the horizon "
+                         f"or raise T")
     n = env.n_patches
     if env.n_states == 1:
         # no switching: the exponent is exactly the spectral abscissa

@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from digrowth import cli, dynamics, explorer, model as M
+from digrowth import cli, dynamics, explorer, model as M, stochastic
 
 
 def run(capsys, *argv):
@@ -161,6 +161,20 @@ def test_simulate_rejects_parameters_outside_the_domain(capsys, tmp_path,
     argv = {"--m": "1", "--T": "0.5", "--horizon": "300", option: value}
     code, out, err = run(capsys, "simulate", str(path),
                          *[x for kv in argv.items() for x in kv])
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "usage"
+
+
+def test_simulate_rejects_a_horizon_past_the_jump_cap(capsys, tmp_path,
+                                                      monkeypatch):
+    def started(*args):
+        raise AssertionError("the simulation loop was set up")
+
+    monkeypatch.setattr(stochastic, "_DwellFlow", started)
+    path = tmp_path / "env.json"
+    path.write_text(json.dumps(SIM_ENV))
+    code, out, err = run(capsys, "simulate", str(path), "--m", "1", "--T",
+                         "1", "--horizon", "1e17")
     assert code == 2 and out == ""
     assert json.loads(err)["error"] == "usage"
 

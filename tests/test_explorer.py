@@ -40,7 +40,7 @@ def test_sweep_equal_rates_constant():
 # the segment exponential of each kernel path: the 2x2 closed form and the
 # stacked Pade-13 that three patches use
 @pytest.mark.parametrize("name, exponential", [
-    ("ab1", "_expm2_scaled"), ("fainshil(0.1,0.1)", "expm")])
+    ("ab1", "_expm2_scaled"), ("fainshil(0.1,0.1)", "expm_stack_scaled")])
 def test_sweep_propagates_unexpected_errors(monkeypatch, name, exponential):
     def broken(*args):
         raise ValueError("not a Lambda failure")
@@ -48,6 +48,47 @@ def test_sweep_propagates_unexpected_errors(monkeypatch, name, exponential):
     monkeypatch.setattr(dynamics, exponential, broken)
     with pytest.raises(ValueError, match="not a Lambda failure"):
         explorer.sweep(M.builtin(name), (0.1, 2.0), (0.5, 50.0), 4)
+
+
+def _crossing_links_every_cell(ok, pos):
+    """The crossing graph by a visit of every cell, the loop that
+    ``explorer._crossing_links`` filters with array operations first."""
+    links = {}
+    for i in range(ok.shape[0] - 1):
+        for j in range(ok.shape[1] - 1):
+            if not (ok[i, j] and ok[i + 1, j] and ok[i, j + 1]
+                    and ok[i + 1, j + 1]):
+                continue
+            keys = [key for key, flip in (
+                (("h", i, j), pos[i, j] != pos[i + 1, j]),
+                (("h", i, j + 1), pos[i, j + 1] != pos[i + 1, j + 1]),
+                (("v", i, j), pos[i, j] != pos[i, j + 1]),
+                (("v", i + 1, j), pos[i + 1, j] != pos[i + 1, j + 1]))
+                if flip]
+            if len(keys) == 2:
+                pairs = [keys]
+            elif len(keys) == 4:
+                pairs = list(zip([k for k in keys if k[0] == "h"],
+                                 [k for k in keys if k[0] == "v"]))
+            else:
+                pairs = []
+            for a, b in pairs:
+                links.setdefault(a, []).append(b)
+                links.setdefault(b, []).append(a)
+    return links
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_crossing_links_match_a_visit_of_every_cell(seed):
+    # random signs give saddle cells, and unusable corners drop cells
+    rng = np.random.default_rng(seed)
+    shape = (9 + seed, 14 - seed)
+    ok = rng.random(shape) > 0.1 * (seed % 3)
+    pos = rng.random(shape) > 0.5
+    links = explorer._crossing_links(ok, pos)
+    want = _crossing_links_every_cell(ok, pos)
+    assert links and list(links.items()) == list(want.items())
+    assert all(type(x) is int for key in links for x in key[1:])
 
 
 def test_sweep_marks_nonpositive_cells():

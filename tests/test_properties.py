@@ -1,6 +1,6 @@
-"""Metamorphic properties of Lambda on random piecewise-constant models
-whose growth and migration schedules switch at different times, so every
-evaluation runs on a merged refinement of the two schedules."""
+"""Metamorphic properties and bounds of Lambda on random piecewise-constant
+models whose growth and migration schedules switch at different times, so
+every evaluation runs on a merged refinement of the two schedules."""
 
 import warnings
 from unittest import mock
@@ -8,8 +8,9 @@ from unittest import mock
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from digrowth import dynamics as D, model as M
+from digrowth import asymptotics, dynamics as D, model as M
 from digrowth.model import PatchModel, PeriodicMatrixFunction, validated
+from digrowth.spectral import kernel_vector
 
 # breakpoints are multiples of 1/GRID: growth switches at multiples of 4/GRID
 # and migration at 2 mod 4, so the two schedules share only tau = 0, and a
@@ -30,7 +31,7 @@ def _migration(off, n):
 
 
 @st.composite
-def schedules(draw, sizes=(2, 3)):
+def schedules(draw, sizes=(2, 3, 4)):
     """(n, growth, migration), each schedule a (starts, matrices) pair with
     starts in units of 1/GRID."""
     n = draw(st.sampled_from(sizes))
@@ -99,6 +100,25 @@ def test_phase_rotation_leaves_lambda(spec, point, shift):
     n, growth, migration = spec
     rotated = _model(n, _rotate(*growth, shift), _rotate(*migration, shift))
     assert abs(_lam(rotated, *point) - _lam(_model(*spec), *point)) <= TOL
+
+
+@settings(max_examples=30, deadline=None)
+@given(spec=schedules(), point=points)
+def test_lambda_is_at_most_chi(spec, point):
+    # chi, the period average of the best rate max_i r_i, bounds Lambda
+    mdl = _model(*spec)
+    assert _lam(mdl, *point) <= asymptotics.chi(mdl) + TOL
+
+
+@settings(max_examples=30, deadline=None)
+@given(spec=schedules(), point=points)
+def test_lambda_is_at_least_p_rbar_under_constant_migration(spec, point):
+    # Lambda = p . rbar + m int h(theta*) with h >= 0, p the kernel vector
+    # of the constant migration matrix
+    n, growth, (_, migration) = spec
+    L = migration[0]
+    mdl = _model(n, growth, ([0], [L]))
+    assert kernel_vector(L) @ mdl.mean_rates() <= _lam(mdl, *point) + TOL
 
 
 def _both_paths(mdl, m, T):

@@ -140,6 +140,27 @@ def test_rejects_parameters_outside_the_domain(m, T, horizon):
             S.simulate_lyapunov(env, m, T, horizon)
 
 
+def test_rejects_horizons_past_the_jump_cap(monkeypatch):
+    # a call that gets past its checks fails at once, before its loop starts
+    def started(*args):
+        raise AssertionError("the simulation loop was set up")
+
+    monkeypatch.setattr(S, "_DwellFlow", started)
+    # unit exit rates: a call expects horizon / T jumps
+    env = pm1_twin()
+    for T, horizon in ((1.0, 1e17), (1e-3, 1.01e5), (1e-300, 1e300)):
+        with pytest.raises(ValueError, match="jumps"):
+            S.simulate_lyapunov(env, 1.0, T, horizon)
+    # the fastest-leaving state sets the rate: 4 * 3e7 jumps
+    fast = S.environment([([0.5, -1.5], L_SYM), ([-1.5, 0.5], L_SYM)],
+                         [[-4.0, 4.0], [1.0, -1.0]])
+    with pytest.raises(ValueError, match="jumps"):
+        S.simulate_lyapunov(fast, 1.0, 1.0, 3e7)
+    # just under the cap the call is accepted and sets up its loop
+    with pytest.raises(AssertionError):
+        S.simulate_lyapunov(env, 1.0, 1e-3, 0.99e5)
+
+
 def test_zero_migration_is_allowed():
     est = S.simulate_lyapunov(pm1_twin(), 0.0, 1.0, 300.0, seed=1)
     assert np.isfinite(est.lambda_hat)
