@@ -320,10 +320,39 @@ def _scaled_root(widths: np.ndarray, T: np.ndarray,
     return logscale, root, broken
 
 
+def _kernel_segments(model: PatchModel,
+                     m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(widths, A) of ``merged_segments`` with each run of consecutive
+    migration-free segments fused into one segment of the run's mean growth.
+
+    Their growth matrices are diagonal, so they commute and
+    e^{T w1 R1} e^{T w2 R2} = e^{T (w1 R1 + w2 R2)}.  Apart, a patch that one
+    of them favours and the next disfavours underflows to 0 in each rescaled
+    factor, and the product with it.  A run that ends the period joins the
+    one that starts it: that rotates Phi(T) into a similar matrix with the
+    same root.  Models with no two such segments adjacent are left as
+    they are.
+    """
+    seg = model.segments
+    free = ~seg.L.any(axis=(1, 2))
+    if not (free & np.roll(free, 1)).any():
+        return merged_segments(model, m)[1:]
+    # some segment migrates: a model without migration has no positive
+    # monodromy and never reaches the kernel
+    r = (len(free) - np.argmax(~free[::-1])) % len(free) if free[0] else 0
+    free, widths, R, L = (np.roll(a, -r, axis=0)
+                          for a in (free, seg.widths, seg.R, seg.L))
+    starts = np.flatnonzero(~(free & np.roll(free, 1)))
+    W = np.add.reduceat(widths, starts)
+    R = np.add.reduceat(widths[:, None, None] * R, starts) / W[:, None, None]
+    A = R[:, None] + m[:, None, None] * L[starts][:, None]
+    return W, A
+
+
 def _growth_rates_block(model: PatchModel, m: np.ndarray,
                         T: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``growth_rates`` on flat m and T."""
-    _, widths, mats = merged_segments(model, m)
+    widths, mats = _kernel_segments(model, m)
     scaled_root = _scaled_root2 if model.n == 2 else _scaled_root
     logscale, root, broken = scaled_root(widths, T, mats)
     # the model's monodromy is positive, so a root <= 0 has underflowed

@@ -88,6 +88,38 @@ def test_three_patch_overflowing_period_is_an_error_cell_without_warning():
     assert np.isfinite(lam[0]) and np.isnan(lam[1])
 
 
+def _model(n, growth, migration):
+    return M.validated(M.PatchModel(
+        n, M.PeriodicMatrixFunction.from_segments(*growth),
+        M.PeriodicMatrixFunction.from_segments(*migration)))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("wrap", [False, True], ids=["inside", "wrapping"])
+def test_migration_free_run_matches_its_mean_growth(n, wrap):
+    # with migration off, a patch favoured on one segment and disfavoured
+    # on the next underflows in each rescaled factor; at T = 1e4 their
+    # product was 0.  The run's mean growth gives the same monodromy.
+    up, down = np.diag([0.0, 2.0, -2.0][:n]), np.diag([0.0, -2.0, 2.0][:n])
+    on = np.diag([-1.0, 0.0, 0.5][:n])
+    L = np.ones((n, n)) - n * np.eye(n)
+    off = np.zeros((n, n))
+    if wrap:  # the same schedule shifted by 0.7: the run straddles tau = 0
+        mdl = _model(n, ([0.0, 0.2, 0.7, 0.9], [down, on, up, down]),
+                     ([0.0, 0.2, 0.7], [off, L, off]))
+    else:
+        mdl = _model(n, ([0.0, 0.2, 0.5], [up, down, on]),
+                     ([0.0, 0.5], [off, L]))
+    mean = _model(n, ([0.0, 0.5], [(0.2 * up + 0.3 * down) / 0.5, on]),
+                  ([0.0, 0.5], [off, L]))
+    m = np.array([0.1, 10.0])[:, None]
+    T = np.array([1e-2, 1.0, 1e2, 1e4])[None, :]
+    lam, status = D.growth_rates(mdl, m, T)
+    want, want_status = D.growth_rates(mean, m, T)
+    assert np.all(status == "ok") and np.all(want_status == "ok")
+    assert np.all(np.abs(lam - want) <= 1e-11)
+
+
 def test_rejects_nonpositive_m_and_T():
     mdl = M.builtin("ab1")
     with pytest.raises(ValueError):

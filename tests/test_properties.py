@@ -6,7 +6,7 @@ import warnings
 from unittest import mock
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from digrowth import asymptotics, dynamics as D, model as M
 from digrowth.model import PatchModel, PeriodicMatrixFunction, validated
@@ -141,6 +141,12 @@ cells = st.lists(st.tuples(st.floats(-2.0, 2.0), st.floats(-3.0, 4.0)),
 
 @settings(max_examples=40, deadline=None)
 @given(spec=schedules(sizes=(2,)), log_cells=cells, flat=st.booleans())
+# migration off on [0, 0.35), where patch 2 grows on [0.1, 0.2) and decays
+# on [0.2, 0.35): unfused, their rescaled factors multiply to 0 at T = 1e4
+@example(spec=(2, ([0, 4, 8], [np.zeros((2, 2)), np.diag([0.0, 1.0]),
+                               np.diag([0.0, -1.0])]),
+               ([0, 14], [_migration([1.0, 1.0], 2)] * 2)),
+         log_cells=[(0.0, 4.0)], flat=True)
 def test_two_patch_closed_form_matches_stacked_path(spec, log_cells, flat):
     n, (g_starts, growth), (m_starts, migration) = spec
     if flat:
