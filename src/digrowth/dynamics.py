@@ -12,8 +12,9 @@ each segment exponential and the final Perron root in closed form, written
 so that no entry is formed as a difference that cancels: no Pade step, no
 squaring and no eigensolver.  For three or more it exponentiates all
 segments of all cells of a block in one ``spectral.expm_stack_scaled``
-pass and takes the root from one stacked eigensolve.  The scalar
-``growth_rate`` keeps its own per-segment path on ``scipy.linalg.expm``.
+pass and takes the root from one stacked eigensolve.  ``monodromy`` and
+the scalar ``growth_rate`` run the same scaled product on a batch of one;
+``growth_rate`` takes the Perron pair of that product by power iteration.
 
 The simplex reduction theta = x / sum(x) obeys
 dtheta/dt = A theta - <A theta, 1> theta and has a unique globally attracting
@@ -31,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import ModelParameters, PatchModel, ValidationStatus
-from .spectral import (expm, expm_stack_scaled, perron_frobenius_metzler,
+from .spectral import (expm_stack_scaled, perron_frobenius_metzler,
                        perron_positive)
 
 RK4_MIN_STEPS = 2_000
@@ -103,51 +104,25 @@ def merged_segments(model: PatchModel, m):
     return seg.breaks, seg.widths, A
 
 
-def _scale_norm(A: np.ndarray) -> float:
-    with np.errstate(over="ignore"):  # an infinite norm is caught by callers
-        return float(np.abs(A).sum(axis=0).max())
-
-
-def _expm_scaled(A: np.ndarray) -> tuple[np.ndarray, float]:
-    """(E, l) with e^A = e^l * E and E kept at unit max-entry scale."""
-    nrm = _scale_norm(A)
-    if not math.isfinite(nrm):
-        raise IntegrationFailure("matrix exponential scaling broke down")
-    j = max(0, math.ceil(math.log2(nrm / _STEP_BUDGET))) if nrm > _STEP_BUDGET else 0
-    E = expm(A / 2 ** j)
-    l = 0.0
-    c = np.abs(E).max()
-    if c > 0:
-        E = E / c
-        l = math.log(c)
-    for _ in range(j):
-        E = E @ E
-        l *= 2.0
-        c = np.abs(E).max()
-        if not np.isfinite(c) or c <= 0.0:
-            raise IntegrationFailure("matrix exponential scaling broke down")
-        E /= c
-        l += math.log(c)
-    return E, l
-
-
 def _monodromy_scaled(model: PatchModel,
                       params: ModelParameters) -> tuple[np.ndarray, float]:
+    """(M, logscale) with Phi(T) = e^logscale M: the scaled product of
+    ``growth_rates`` on a batch of one.  It runs over the merged segments
+    from phase 0, unfused and unrotated, so that M is Phi(T) itself and its
+    Perron vector anchors theta*."""
     if model.validation is ValidationStatus.NO_POSITIVE_MONODROMY:
         raise_for_status("non_positive_monodromy")
-    _, widths, mats = merged_segments(model, params.m)
-    M = np.eye(model.n)
-    logscale = 0.0
-    for w, A in zip(widths, mats):
-        E, l = _expm_scaled(w * params.T * A)
-        M = E @ M
-        logscale += l
-        c = np.abs(M).max()
-        if not (math.isfinite(c) and c > 0.0):
-            raise_for_status("error")
-        M /= c
-        logscale += math.log(c)
-    return M, logscale
+    _, widths, mats = merged_segments(model, np.array([params.m]))
+    T = np.array([params.T])
+    if model.n == 2:
+        logscale, entries, broken = _scaled_product2(widths, T, mats)
+        M = np.reshape(entries, (2, 2))
+    else:
+        logscale, M, broken = _scaled_product(widths, T, mats)
+        M = M[0]
+    if broken[0]:
+        raise_for_status("error")
+    return M, float(logscale[0])
 
 
 def _monodromy_scaled_rk4(model: PatchModel, params: ModelParameters,
@@ -191,7 +166,7 @@ def growth_rate(model: PatchModel, params: ModelParameters) -> GrowthResult:
     if params.m <= 0.0:
         raise ValueError("growth_rate needs m > 0; use the m->0 limit instead")
     M, logscale = _monodromy_scaled(model, params)
-    lam_M, pi = perron_positive(np.maximum(M, 0.0) if M.min() > -1e-13 else M)
+    lam_M, pi = perron_positive(M)
     if lam_M <= 0.0:
         raise_for_status("error")
     log_mu = logscale + math.log(lam_M)
@@ -253,12 +228,12 @@ def _expm2_scaled(B: np.ndarray) -> tuple[tuple[np.ndarray, ...], np.ndarray,
     return E, 0.5 * (a + d) + s, broken
 
 
-def _scaled_root2(widths: np.ndarray, T: np.ndarray,
-                  mats: np.ndarray) -> tuple[np.ndarray, np.ndarray,
-                                             np.ndarray]:
-    """``_scaled_root`` for two patches, on the entry arrays of all cells and
-    segments at once: the factors come from one ``_expm2_scaled`` call and
-    the root from ``_perron_root2``."""
+def _scaled_product2(
+        widths: np.ndarray, T: np.ndarray, mats: np.ndarray
+) -> tuple[np.ndarray, tuple[np.ndarray, ...], np.ndarray]:
+    """``_scaled_product`` for two patches, on the entry arrays of all cells
+    and segments at once: (logscale, (p, r, r2, q), broken) with the product
+    [[p, r], [r2, q]], its factors from one ``_expm2_scaled`` call."""
     with np.errstate(over="ignore"):  # an infinite norm marks the cell
         B = (widths[:, None] * T)[:, :, None, None] * mats
     (e00, e01, e10, e11), l, bad = _expm2_scaled(B)
@@ -276,7 +251,7 @@ def _scaled_root2(widths: np.ndarray, T: np.ndarray,
         c[fail] = np.inf
         p, r, r2, q = p / c, r / c, r2 / c, q / c
         logscale += np.log(c)
-    return logscale, _perron_root2(p, r, r2, q), broken
+    return logscale, (p, r, r2, q), broken
 
 
 def _perron_root2(p, r, r2, q):
@@ -285,15 +260,15 @@ def _perron_root2(p, r, r2, q):
     return 0.5 * (p + q) + np.hypot(0.5 * (p - q), np.sqrt(r * r2))
 
 
-def _scaled_root(widths: np.ndarray, T: np.ndarray,
-                 mats: np.ndarray) -> tuple[np.ndarray, np.ndarray,
-                                            np.ndarray]:
-    """(logscale, root, broken) per cell: Phi(T) = e^logscale M with M the
-    product of the scaled segment exponentials, each step rescaled to unit
-    max entry, root the dominant eigenvalue of M from one stacked dense
-    solve, and ``broken`` marking cells whose scaling broke down.  The
-    exponentials of all segments and cells come from one
-    ``expm_stack_scaled`` call on the (K * cells, n, n) stack."""
+def _scaled_product(widths: np.ndarray, T: np.ndarray,
+                    mats: np.ndarray) -> tuple[np.ndarray, np.ndarray,
+                                               np.ndarray]:
+    """(logscale, M, broken) per cell: Phi(T) = e^logscale M with M the
+    ordered product of the scaled segment exponentials, each step rescaled
+    to unit max entry, and ``broken`` marking cells whose scaling broke
+    down (M = I there).  The exponentials of all segments and cells come
+    from one ``expm_stack_scaled`` call on the (K * cells, n, n) stack.
+    Entries of M above -1e-13 are rounding and are clipped to 0."""
     K, size, n = mats.shape[0], mats.shape[1], mats.shape[-1]
     with np.errstate(over="ignore"):  # an infinite norm marks the cell
         B = (widths[:, None] * T)[:, :, None, None] * mats
@@ -316,8 +291,7 @@ def _scaled_root(widths: np.ndarray, T: np.ndarray,
     M[fail] = np.eye(n)
     clip = M.min(axis=(1, 2)) > -1e-13
     M = np.where(clip[:, None, None], np.maximum(M, 0.0), M)
-    root = np.linalg.eigvals(M).real.max(axis=1)
-    return logscale, root, broken
+    return logscale, M, broken
 
 
 def _kernel_segments(model: PatchModel,
@@ -353,8 +327,12 @@ def _growth_rates_block(model: PatchModel, m: np.ndarray,
                         T: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``growth_rates`` on flat m and T."""
     widths, mats = _kernel_segments(model, m)
-    scaled_root = _scaled_root2 if model.n == 2 else _scaled_root
-    logscale, root, broken = scaled_root(widths, T, mats)
+    if model.n == 2:
+        logscale, entries, broken = _scaled_product2(widths, T, mats)
+        root = _perron_root2(*entries)
+    else:
+        logscale, M, broken = _scaled_product(widths, T, mats)
+        root = np.linalg.eigvals(M).real.max(axis=1)
     # the model's monodromy is positive, so a root <= 0 has underflowed
     broken |= root <= 0.0
     status = np.full(len(m), "ok", dtype=object)
@@ -442,21 +420,29 @@ def growth_rate_oracle(model: PatchModel, params: ModelParameters,
 
 def _segment_grid(model: PatchModel, params: ModelParameters, resolution: int):
     """Per-segment uniform tau grids with an even number of sub-intervals,
-    dense enough that each exponential step has modest norm.
+    dense enough that each exponential step has modest norm, and each
+    segment's sub-step propagator e^{h T A_k} up to a positive factor, all
+    from one ``expm_stack_scaled`` call.
     """
     breaks, widths, mats = merged_segments(model, params.m)
-    counts = []
-    for w, A in zip(widths, mats):
-        need = max(resolution * w,
-                   w * params.T * _scale_norm(A) / (_STEP_BUDGET / 4.0), 8.0)
-        nk = int(math.ceil(need))
-        nk += nk % 2
-        counts.append(nk)
+    with np.errstate(over="ignore"):  # an infinite need fails below
+        norms = np.abs(mats).sum(axis=1).max(axis=1)
+        need = np.maximum(np.maximum(
+            resolution * widths,
+            widths * params.T * norms / (_STEP_BUDGET / 4.0)), 8.0)
+    if not np.isfinite(need).all():
+        raise IntegrationFailure("sub-step grid needs unboundedly many nodes")
+    counts = [nk + nk % 2 for nk in map(math.ceil, need)]
     total = sum(counts)
     if total > _MAX_NODES:
         shrink = _MAX_NODES / total
         counts = [max(8, int(c * shrink) + int(c * shrink) % 2) for c in counts]
-    return breaks, widths, mats, counts
+    with np.errstate(over="ignore"):  # an infinite norm marks the step
+        steps = (widths / counts * params.T)[:, None, None] * mats
+    props, _, broken = expm_stack_scaled(steps)
+    if broken.any():
+        raise IntegrationFailure("matrix exponential scaling broke down")
+    return breaks, widths, mats, counts, props
 
 
 def _theta_star_segments(model: PatchModel, params: ModelParameters,
@@ -468,12 +454,12 @@ def _theta_star_segments(model: PatchModel, params: ModelParameters,
     thetas has one row per grid node including both segment endpoints.
     """
     res = growth_rate(model, params)
-    breaks, widths, mats, counts = _segment_grid(model, params, resolution)
+    breaks, widths, mats, counts, props = _segment_grid(model, params,
+                                                        resolution)
     theta = res.pi.copy()
     segments = []
-    for b, w, A, nk in zip(breaks, widths, mats, counts):
+    for b, w, A, nk, P in zip(breaks, widths, mats, counts, props):
         h = w / nk
-        P, _ = _expm_scaled(h * params.T * A)
         taus = b + h * np.arange(nk + 1)
         thetas = np.empty((nk + 1, model.n))
         thetas[0] = theta
@@ -508,14 +494,10 @@ def propagate_simplex(model: PatchModel, params: ModelParameters,
     Used to exhibit global asymptotic stability of theta*: arbitrary starts
     contract onto the periodic solution.
     """
-    breaks, widths, mats, counts = _segment_grid(model, params, grid_resolution)
-    props = []
-    for w, A, nk in zip(widths, mats, counts):
-        P, _ = _expm_scaled((w / nk) * params.T * A)
-        props.append((P, nk))
+    *_, counts, props = _segment_grid(model, params, grid_resolution)
     X = np.asarray(thetas, dtype=float).T.copy()  # (n, batch)
     for _ in range(periods):
-        for P, nk in props:
+        for P, nk in zip(props, counts):
             for _ in range(nk):
                 X = P @ X
                 X /= X.sum(axis=0)

@@ -8,10 +8,11 @@ Contents:
   ``solve`` for the stack, then squarings rescaled to unit max entry, each
   matrix with its own squaring count from its 1-norm, so a matrix's
   exponential does not depend on the rest of the stack.  It is the only
-  scaling-and-squaring loop of the package; the batched growth rate
-  exponentiates every segment of every cell in one call.
-* ``expm`` — matrix exponential.  A single matrix goes to
-  ``scipy.linalg.expm``; a stack is E e^l from ``expm_stack_scaled``.
+  scaling-and-squaring loop of the package: the growth rate of three or
+  more patches exponentiates every segment of every cell in one call, and
+  theta* every sub-step.
+* ``expm`` — matrix exponential of one matrix or of a stack, E e^l from
+  ``expm_stack_scaled``.
 * ``perron_positive`` — dominant eigenpair of an entrywise-positive matrix by
   power iteration, with a dense-eigensolver fallback.
 * ``perron_frobenius_metzler`` — spectral abscissa and nonnegative right
@@ -28,7 +29,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-import scipy.linalg
 
 POWER_TOL = 1e-12
 POWER_MAXITER = 100_000
@@ -46,15 +46,13 @@ _THETA13 = 5.371920351148152
 
 def expm(A: np.ndarray) -> np.ndarray:
     """Matrix exponential e^A of one matrix (n, n) or of each matrix of a
-    stack (N, n, n); a stack is E e^l from ``expm_stack_scaled``, NaN where
-    a norm is not finite."""
+    stack (N, n, n): E e^l from ``expm_stack_scaled``, NaN where a norm is
+    not finite."""
     A = np.asarray(A, dtype=float)
-    if A.ndim == 2:
-        return scipy.linalg.expm(A)
-    E, l, broken = expm_stack_scaled(A)
+    E, l, broken = expm_stack_scaled(A.reshape(-1, *A.shape[-2:]))
     E *= np.exp(l)[:, None, None]
     E[broken] = np.nan
-    return E
+    return E.reshape(A.shape)
 
 
 def expm_stack_scaled(A: np.ndarray) -> tuple[np.ndarray, np.ndarray,

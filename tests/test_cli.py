@@ -3,6 +3,9 @@
 import dataclasses
 import io
 import json
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -244,3 +247,14 @@ def test_lambda_overflowing_period_is_a_numerical_error(capsys):
     assert code == 1
     assert out == ""
     assert json.loads(err)["error"] == "numerical"
+
+
+def test_runtime_loads_no_scipy():
+    # the package runs on NumPy alone; scipy is only a test reference
+    probe = ("import sys, digrowth, digrowth.cli; "
+             "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"

@@ -1,12 +1,17 @@
 """Monodromy, growth rate, and periodic simplex dynamics."""
 
+import warnings
+
+import mpmath as mp
 import numpy as np
 import pytest
 from conftest import random_model
+# an exponential independent of the one under test
+from scipy.linalg import expm
 
 from digrowth import dynamics as D
 from digrowth import model as M
-from digrowth.spectral import expm, perron_frobenius_metzler
+from digrowth.spectral import perron_frobenius_metzler
 
 
 def P(m, T):
@@ -29,6 +34,22 @@ def test_monodromy_abc_three_factor_product():
             for t in (0.0, 1.0 / 3.0, 2.0 / 3.0)]
     expected = expm(T * mats[2] / 3) @ expm(T * mats[1] / 3) @ expm(T * mats[0] / 3)
     assert np.allclose(D.monodromy(mdl, P(m, T)), expected, rtol=1e-12)
+
+
+@pytest.mark.parametrize("m", [0.1, 1.0, 10.0])
+@pytest.mark.parametrize("T", [0.5, 3.0, 10.0, 30.0])
+def test_monodromy_abc_matches_mpmath_product(m, T):
+    # the ordered product of the three segment exponentials at 40 digits
+    mdl = M.builtin("abc_two_patch")
+    mats = [mdl.growth.value(t) + m * mdl.migration.value(t)
+            for t in (0.0, 1.0 / 3.0, 2.0 / 3.0)]
+    with mp.workdps(40):
+        want = mp.eye(2)
+        for A in mats:
+            want = mp.expm(mp.matrix((T / 3 * A).tolist())) * want
+        want = np.array(want.tolist(), dtype=float)
+    got = D.monodromy(mdl, P(m, T))
+    assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
 
 def test_monodromy_m0_is_diagonal_of_mean_rates():
@@ -94,6 +115,15 @@ def test_underflowed_monodromy_is_an_integration_failure():
         D.growth_rate(mdl, P(0.01, 1e4))
     lam, status = D.growth_rates(mdl, 0.01, [1e3, 1e4])
     assert list(status) == ["ok", "error"]
+
+
+def test_propagate_simplex_overflowing_period_is_an_integration_failure():
+    # T * A overflows: a typed error, not OverflowError after a NumPy warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(D.IntegrationFailure):
+            D.propagate_simplex(M.builtin("ab1"), P(1.0, 1e308),
+                                np.array([[0.5, 0.5]]))
 
 
 def test_oracle_agrees_with_monodromy():

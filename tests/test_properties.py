@@ -121,13 +121,25 @@ def test_lambda_is_at_least_p_rbar_under_constant_migration(spec, point):
     assert kernel_vector(L) @ mdl.mean_rates() <= _lam(mdl, *point) + TOL
 
 
+def _stacked_product(widths, T, mats):
+    """``_scaled_product`` with its product passed as the one "entry" that
+    ``_eigvals_root`` takes in place of ``_perron_root2``'s four."""
+    logscale, M, broken = D._scaled_product(widths, T, mats)
+    return logscale, (M,), broken
+
+
+def _eigvals_root(M):
+    return np.linalg.eigvals(M).real.max(axis=1)
+
+
 def _both_paths(mdl, m, T):
     """growth_rates through the 2x2 closed form, which must not warn, and
     through the stacked Pade-13 and eigvals path forced on the same cells."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         lam, status = D.growth_rates(mdl, m, T)
-    with mock.patch.object(D, "_scaled_root2", D._scaled_root):
+    with mock.patch.multiple(D, _scaled_product2=_stacked_product,
+                             _perron_root2=_eigvals_root):
         want, want_status = D.growth_rates(mdl, m, T)
     assert np.array_equal(status, want_status)
     ok = status == "ok"
