@@ -107,12 +107,12 @@ def merged_segments(model: PatchModel, m):
 def _monodromy_scaled(model: PatchModel,
                       params: ModelParameters) -> tuple[np.ndarray, float]:
     """(M, logscale) with Phi(T) = e^logscale M: the scaled product of
-    ``growth_rates`` on a batch of one.  It runs over the merged segments
-    from phase 0, unfused and unrotated, so that M is Phi(T) itself and its
-    Perron vector anchors theta*."""
+    ``growth_rates`` on a batch of one.  It runs over the kernel's segments
+    from phase 0, with migration-free runs fused but not rotated, so that M
+    is Phi(T) itself and its Perron vector anchors theta*."""
     if model.validation is ValidationStatus.NO_POSITIVE_MONODROMY:
         raise_for_status("non_positive_monodromy")
-    _, widths, mats = merged_segments(model, np.array([params.m]))
+    widths, mats = _kernel_segments(model, np.array([params.m]), rotate=False)
     T = np.array([params.T])
     if model.n == 2:
         logscale, entries, broken = _scaled_product2(widths, T, mats)
@@ -294,29 +294,36 @@ def _scaled_product(widths: np.ndarray, T: np.ndarray,
     return logscale, M, broken
 
 
-def _kernel_segments(model: PatchModel,
-                     m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _kernel_segments(model: PatchModel, m: np.ndarray,
+                     rotate: bool = True) -> tuple[np.ndarray, np.ndarray]:
     """(widths, A) of ``merged_segments`` with each run of consecutive
     migration-free segments fused into one segment of the run's mean growth.
 
     Their growth matrices are diagonal, so they commute and
     e^{T w1 R1} e^{T w2 R2} = e^{T (w1 R1 + w2 R2)}.  Apart, a patch that one
     of them favours and the next disfavours underflows to 0 in each rescaled
-    factor, and the product with it.  A run that ends the period joins the
-    one that starts it: that rotates Phi(T) into a similar matrix with the
-    same root.  Models with no two such segments adjacent are left as
-    they are.
+    factor, and the product with it.  With ``rotate``, a run that ends the
+    period joins the one that starts it: that rotates Phi(T) into a similar
+    matrix with the same root.  Without it the segments still start at
+    phase 0, so the product is Phi(T) itself, and such a run stays split at
+    phase 0.  Models with no two such segments adjacent are left as they
+    are.
     """
     seg = model.segments
     free = ~seg.L.any(axis=(1, 2))
-    if not (free & np.roll(free, 1)).any():
+    inner = free[1:] & free[:-1]  # free segment k + 1 follows a free one
+    wraps = bool(rotate and free[0] and free[-1])
+    if not (wraps or inner.any()):
         return merged_segments(model, m)[1:]
+    joins = np.concatenate(([wraps], inner))
     # some segment migrates: a model without migration has no positive
     # monodromy and never reaches the kernel
-    r = (len(free) - np.argmax(~free[::-1])) % len(free) if free[0] else 0
-    free, widths, R, L = (np.roll(a, -r, axis=0)
-                          for a in (free, seg.widths, seg.R, seg.L))
-    starts = np.flatnonzero(~(free & np.roll(free, 1)))
+    r = 0
+    if rotate and free[0]:
+        r = (len(free) - np.argmax(~free[::-1])) % len(free)
+    widths, R, L, joins = (np.roll(a, -r, axis=0)
+                           for a in (seg.widths, seg.R, seg.L, joins))
+    starts = np.flatnonzero(~joins)
     W = np.add.reduceat(widths, starts)
     R = np.add.reduceat(widths[:, None, None] * R, starts) / W[:, None, None]
     A = R[:, None] + m[:, None, None] * L[starts][:, None]

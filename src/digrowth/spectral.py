@@ -8,11 +8,10 @@ Contents:
   ``solve`` for the stack, then squarings rescaled to unit max entry, each
   matrix with its own squaring count from its 1-norm, so a matrix's
   exponential does not depend on the rest of the stack.  It is the only
-  scaling-and-squaring loop of the package: the growth rate of three or
-  more patches exponentiates every segment of every cell in one call, and
-  theta* every sub-step.
-* ``expm`` — matrix exponential of one matrix or of a stack, E e^l from
-  ``expm_stack_scaled``.
+  scaling-and-squaring loop and the only matrix exponential of the
+  package: the growth rate of three or more patches exponentiates every
+  segment of every cell in one call, theta* every sub-step, and the
+  switched simulator every dwell of a chunk.
 * ``perron_positive`` — dominant eigenpair of an entrywise-positive matrix by
   power iteration, with a dense-eigensolver fallback.
 * ``perron_frobenius_metzler`` — spectral abscissa and nonnegative right
@@ -42,17 +41,6 @@ _PADE13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
            670442572800.0, 33522128640.0, 1323241920.0, 40840800.0,
            960960.0, 16380.0, 182.0, 1.0)
 _THETA13 = 5.371920351148152
-
-
-def expm(A: np.ndarray) -> np.ndarray:
-    """Matrix exponential e^A of one matrix (n, n) or of each matrix of a
-    stack (N, n, n): E e^l from ``expm_stack_scaled``, NaN where a norm is
-    not finite."""
-    A = np.asarray(A, dtype=float)
-    E, l, broken = expm_stack_scaled(A.reshape(-1, *A.shape[-2:]))
-    E *= np.exp(l)[:, None, None]
-    E[broken] = np.nan
-    return E.reshape(A.shape)
 
 
 def expm_stack_scaled(A: np.ndarray) -> tuple[np.ndarray, np.ndarray,

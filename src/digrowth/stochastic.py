@@ -8,15 +8,19 @@ abscissa of the stationary-averaged matrix, and the slow regime, where it
 approaches the stationary average of the per-state spectral abscissas.  The
 threshold chi generalizes to the stationary average of max_i r_i(s).
 
-Simulation is exact-event: exponential holding times, the dwell flow applied
-through a cached per-state eigendecomposition with the dominant exponent
-factored out (so arbitrarily long dwells never overflow), renormalization to
-the simplex at every jump, and a batch-means standard error.  The initial
+Simulation is exact-event: exponential holding times, the exact flow
+e^{A_s dt} of every dwell, and a batch-means standard error.  The initial
 state and every jump are drawn from cumulative laws built once per call, the
 way ``Generator.choice`` builds them (``cdf = p.cumsum(); cdf /= cdf[-1]``),
 as ``bisect_right(cdf, rng.random())``: the uniform and the right-sided
 search that ``choice`` itself makes, so a seed gives the path ``choice``
-would give without rebuilding and re-checking the law at every jump.
+would give without rebuilding and re-checking the law at every jump.  The
+chain's path does not depend on the population, so it is drawn a chunk of
+dwells at a time and the chunk's flows are formed in one
+``spectral.expm_stack_scaled`` pass, each as e^l E with E of unit max entry,
+so long dwells and defective matrices need no special path.  Each batch's
+flows are multiplied pairwise in stacked products, rescaled with their logs
+kept apart, and the population vector takes one product per batch.
 """
 
 from __future__ import annotations
@@ -28,16 +32,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import expm, is_irreducible, kernel_vector, spectral_abscissa
+from .spectral import (expm_stack_scaled, is_irreducible, kernel_vector,
+                       spectral_abscissa)
 
 GENERATOR_ROW_TOL = 1e-12
 MIN_JUMPS = 100
 DEFAULT_BATCHES = 20
 DEFAULT_SEED = 20260826
 # cap on the expected jumps of one simulate_lyapunov call, horizon times the
-# largest exit rate over T: about 20 min at 12 us per jump, and far below the
-# 2^53 mean dwells past which t += dt stops advancing the clock
+# largest exit rate over T: 7 to 13 min at 4 to 8 us per jump (2-core host,
+# one BLAS thread), and far below the 2^53 mean dwells past which t += dt
+# stops advancing the clock
 MAX_EXPECTED_JUMPS = 1e8
+# dwells per chunk of simulate_lyapunov: the path is drawn and its flows
+# formed a chunk at a time, which bounds a call's working memory whatever
+# the horizon.  Peak by tracemalloc, from 1e3 to 2e4 jumps and T from 0.01
+# to 100: 0.41-0.43 MB for two patches and 0.81-0.83 MB for three
+_CHUNK_DWELLS = 1024
 
 
 class StochasticError(Exception):
@@ -130,49 +141,6 @@ def stationary_distribution(env: MarkovEnvironment) -> np.ndarray:
     return kernel_vector(QT)
 
 
-class _DwellFlow:
-    """Applies x -> e^{A dt} x with the dominant exponent split off, so the
-    returned pair (y, log_gain) satisfies e^{A dt} x = e^{log_gain} y with y
-    of moderate norm for any dwell length.
-    """
-
-    def __init__(self, A: np.ndarray):
-        self.A = A
-        w, V = np.linalg.eig(A)
-        self.shift = float(w.real.max())
-        try:
-            Vinv = np.linalg.inv(V)
-            ok = np.linalg.cond(V) < 1e8
-        except np.linalg.LinAlgError:
-            ok = False
-            Vinv = None
-        self.diagonalizable = ok
-        if ok:
-            self.w = w - self.shift
-            self.V, self.Vinv = V, Vinv
-
-    def apply(self, x: np.ndarray, dt: float) -> tuple[np.ndarray, float]:
-        if self.diagonalizable:
-            y = (self.V @ (np.exp(self.w * dt) * (self.Vinv @ x))).real
-            return y, self.shift * dt
-        # defective matrix: chunked exponentials with the shift removed
-        B = self.A - self.shift * np.eye(self.A.shape[0])
-        nrm = max(1.0, float(np.abs(B).sum(axis=0).max()))
-        chunks = max(1, math.ceil(dt * nrm / 20.0))
-        E = expm(B * (dt / chunks))
-        y = x
-        gain = self.shift * dt
-        for _ in range(chunks):
-            y = E @ y
-            s = y.sum()
-            gain += math.log(s)
-            y = y / s
-        return y, gain
-
-    # defective-path gain already includes its renormalizations; the caller
-    # renormalizes once more at the jump, which is harmless
-
-
 def _cdf(p: np.ndarray) -> list[float]:
     """The cumulative law ``Generator.choice`` samples ``p`` by: the index
     ``bisect_right(_cdf(p), rng.random())`` is ``rng.choice(len(p), p=p)``,
@@ -180,6 +148,55 @@ def _cdf(p: np.ndarray) -> list[float]:
     cdf = p.cumsum()
     cdf /= cdf[-1]
     return cdf.tolist()
+
+
+def _carry(mats: np.ndarray, states: list[int], dts: list[float],
+           owners: list[int], x: np.ndarray,
+           batch_logs: np.ndarray) -> np.ndarray:
+    """The unit-sum x at the end of a chunk of dwells, from the unit-sum x
+    at its start: dwell i sits in state ``states[i]`` for ``dts[i]`` and
+    belongs to batch ``owners[i]`` (nondecreasing).  Each batch's
+    log-growth over the chunk is added to ``batch_logs``.
+
+    One ``expm_stack_scaled`` call gives every e^{A_s dt} = e^l E of the
+    chunk.  Each batch's run of factors is padded with identities to a
+    power-of-two width, and all runs are multiplied pairwise in stacked
+    ``@`` steps, later factor on the left, every product rescaled to unit
+    max entry with its log added.  x then takes one matvec per batch.  The
+    padded stack holds at most (batches in the chunk) x (twice the longest
+    run) factors.
+    """
+    n = x.size
+    with np.errstate(over="ignore"):  # an infinite norm marks the flow
+        B = mats[states] * np.array(dts)[:, None, None]
+    E, l, broken = expm_stack_scaled(B)
+    if broken.any():
+        raise StochasticError("trajectory left the positive cone")
+    owners = np.array(owners)
+    starts = np.flatnonzero(np.diff(owners, prepend=-1))
+    sizes = np.diff(starts, append=len(owners))
+    width = 1 << int(sizes.max() - 1).bit_length()
+    # factor j of run i sits at starts[i] + j; the identity past its end
+    col = np.arange(width)
+    take = np.where(col < sizes[:, None], starts[:, None] + col, len(owners))
+    P = np.concatenate([E, np.eye(n)[None]])[take]
+    logs = np.add.reduceat(l, starts)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # a product that is 0 or not finite leaves its log non-finite
+        while P.shape[1] > 1:
+            P = P[:, 1::2] @ P[:, ::2]
+            c = np.abs(P).max(axis=(2, 3))
+            P /= c[..., None, None]
+            logs += np.log(c).sum(axis=1)
+    for run, k in enumerate(owners[starts].tolist()):
+        x = P[run, 0] @ x
+        norm = x.sum()
+        gain = logs[run] + math.log(norm) if norm > 0.0 else math.nan
+        if not math.isfinite(gain):
+            raise StochasticError("trajectory left the positive cone")
+        batch_logs[k] += gain
+        x /= norm
+    return x
 
 
 def simulate_lyapunov(env: MarkovEnvironment, m: float, T: float,
@@ -214,8 +231,7 @@ def simulate_lyapunov(env: MarkovEnvironment, m: float, T: float,
     mu = stationary_distribution(env)
     rng = np.random.default_rng(seed)
     random, exponential = rng.random, rng.exponential
-    applies = [_DwellFlow(env.matrix(s, m)).apply
-               for s in range(env.n_states)]
+    mats = np.stack([env.matrix(s, m) for s in range(env.n_states)])
     scales = (1.0 / -np.diag(env.Q)).tolist()
     jump_cdfs = []
     for s in range(env.n_states):
@@ -227,32 +243,33 @@ def simulate_lyapunov(env: MarkovEnvironment, m: float, T: float,
     x = np.full(n, 1.0 / n)
     t = 0.0
     jumps = 0
-    batch_logs = [0.0] * batches
+    batch_logs = np.zeros(batches)
     batch_time = [0.0] * batches
-    total_log = 0.0
     bwidth = horizon / batches
     while t < horizon:
-        dwell = T * exponential(scales[s])
-        dt = min(dwell, horizon - t)
-        x, gain = applies[s](x, dt)
-        norm = x.sum()
-        if not (math.isfinite(norm) and norm > 0.0):
-            raise StochasticError("trajectory left the positive cone")
-        gain += math.log(norm)
-        x /= norm
-        k = min(batches - 1, int(t / bwidth))
-        batch_logs[k] += gain
-        batch_time[k] += dt
-        total_log += gain
-        t += dt
-        if dt == dwell:
-            s = bisect_right(jump_cdfs[s], random())
-            jumps += 1
+        # the chain's path does not depend on x: draw a chunk of it, then
+        # carry x through the chunk's flows at once
+        states, dts, owners = [], [], []
+        for _ in range(_CHUNK_DWELLS):
+            dwell = T * exponential(scales[s])
+            dt = min(dwell, horizon - t)
+            k = min(batches - 1, int(t / bwidth))
+            states.append(s)
+            dts.append(dt)
+            owners.append(k)
+            batch_time[k] += dt
+            t += dt
+            if dt == dwell:
+                s = bisect_right(jump_cdfs[s], random())
+                jumps += 1
+            if t >= horizon:
+                break
+        x = _carry(mats, states, dts, owners, x, batch_logs)
     if jumps < MIN_JUMPS:
         raise DegenerateHorizon(
             f"only {jumps} jumps over the horizon; lengthen it or shrink T")
-    lambda_hat = total_log / horizon
-    batch_logs, batch_time = np.array(batch_logs), np.array(batch_time)
+    lambda_hat = batch_logs.sum() / horizon
+    batch_time = np.array(batch_time)
     means = batch_logs / np.where(batch_time > 0, batch_time, 1.0)
     used = batch_time > 0.5 * bwidth
     k = int(used.sum())

@@ -173,7 +173,7 @@ def test_simulate_rejects_a_horizon_past_the_jump_cap(capsys, tmp_path,
     def started(*args):
         raise AssertionError("the simulation loop was set up")
 
-    monkeypatch.setattr(stochastic, "_DwellFlow", started)
+    monkeypatch.setattr(stochastic, "stationary_distribution", started)
     path = tmp_path / "env.json"
     path.write_text(json.dumps(SIM_ENV))
     code, out, err = run(capsys, "simulate", str(path), "--m", "1", "--T",

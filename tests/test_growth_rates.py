@@ -118,6 +118,14 @@ def test_migration_free_run_matches_its_mean_growth(n, wrap):
     want, want_status = D.growth_rates(mean, m, T)
     assert np.all(status == "ok") and np.all(want_status == "ok")
     assert np.all(np.abs(lam - want) <= 1e-11)
+    # the scalar path fuses the run too, from phase 0 without rotating, so
+    # a run that wraps the period end stays split there and still breaks
+    # down at T = 1e4
+    for i, j in np.ndindex(want.shape):
+        if wrap and T[0, j] > 1e2:
+            continue
+        got = D.growth_rate(mdl, ModelParameters(m[i, 0], T[0, j])).lam
+        assert abs(got - want[i, j]) <= 1e-11
 
 
 def test_rejects_nonpositive_m_and_T():

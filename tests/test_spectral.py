@@ -10,11 +10,21 @@ from scipy.sparse.csgraph import connected_components
 from digrowth import spectral as S
 
 
+def _expm(A):
+    """e^A of one matrix or of each matrix of a stack, E e^l from
+    ``expm_stack_scaled``, NaN where it marks a matrix broken."""
+    A = np.asarray(A, dtype=float)
+    E, l, broken = S.expm_stack_scaled(A.reshape(-1, *A.shape[-2:]))
+    E *= np.exp(l)[:, None, None]
+    E[broken] = np.nan
+    return E.reshape(A.shape)
+
+
 def test_expm_matches_series():
     A = np.array([[0.0, 1.0], [-1.0, 0.0]])
     t = 0.7
     expected = np.array([[np.cos(t), np.sin(t)], [-np.sin(t), np.cos(t)]])
-    assert np.allclose(S.expm(t * A), expected, atol=1e-12)
+    assert np.allclose(_expm(t * A), expected, atol=1e-12)
 
 
 def _expm_test_stack(rng, n):
@@ -42,7 +52,7 @@ def test_expm_stack_matches_scipy(rng, n):
     # of the max entry at 1-norms 10 to 20 and Pade-13 by under 3e-14, so
     # the bound is set by scipy's own error
     A = _expm_test_stack(rng, n)
-    E = S.expm(A)
+    E = _expm(A)
     assert E.shape == A.shape
     for a, e in zip(A, E):
         ref = scipy.linalg.expm(a)
@@ -50,10 +60,10 @@ def test_expm_stack_matches_scipy(rng, n):
 
 
 def test_expm_stack_exact_cases(rng):
-    zero = S.expm(np.zeros((3, 3, 3)))
+    zero = _expm(np.zeros((3, 3, 3)))
     assert np.abs(zero - np.eye(3)).max() <= np.finfo(float).eps
     d = rng.uniform(-30.0, 30.0, (50, 3))
-    E = S.expm(np.stack([np.diag(x) for x in d]))
+    E = _expm(np.stack([np.diag(x) for x in d]))
     assert np.allclose(np.diagonal(E, axis1=1, axis2=2), np.exp(d),
                        rtol=1e-13, atol=0.0)
     assert np.all(E[:, ~np.eye(3, dtype=bool)] == 0.0)
@@ -64,19 +74,21 @@ def test_expm_stack_exact_cases(rng):
     w, Q = np.linalg.eigh(B)
     ref = (Q * np.exp(w)[:, None, :]) @ Q.transpose(0, 2, 1)
     scale = np.abs(ref).max(axis=(1, 2))
-    assert np.all(np.abs(S.expm(B) - ref).max(axis=(1, 2)) <= 1e-13 * scale)
+    assert np.all(np.abs(_expm(B) - ref).max(axis=(1, 2)) <= 1e-13 * scale)
 
 
 def test_expm_stack_slices_are_batch_independent(rng):
     A = np.concatenate([_expm_test_stack(rng, 3),
                         50.0 * rng.uniform(-1.0, 1.0, (8, 3, 3))])
-    E = S.expm(A)
+    E, l, broken = S.expm_stack_scaled(A)
     for c in range(len(A)):
-        assert np.array_equal(E[c], S.expm(A[c:c + 1])[0])
+        e, lc, bc = S.expm_stack_scaled(A[c:c + 1])
+        assert np.array_equal(E[c], e[0])
+        assert (l[c], broken[c]) == (lc[0], bc[0])
 
 
 def test_expm_empty_stack():
-    E = S.expm(np.zeros((0, 3, 3)))
+    E = _expm(np.zeros((0, 3, 3)))
     assert E.shape == (0, 3, 3)
 
 

@@ -1,10 +1,12 @@
 """Markov-switched environments: stationary laws, limits, simulation."""
 
 import math
+import tracemalloc
 from bisect import bisect_right
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from digrowth import stochastic as S
@@ -141,11 +143,12 @@ def test_rejects_parameters_outside_the_domain(m, T, horizon):
 
 
 def test_rejects_horizons_past_the_jump_cap(monkeypatch):
-    # a call that gets past its checks fails at once, before its loop starts
+    # a call that gets past its checks fails at once, at its first set-up
+    # step, before its loop starts
     def started(*args):
         raise AssertionError("the simulation loop was set up")
 
-    monkeypatch.setattr(S, "_DwellFlow", started)
+    monkeypatch.setattr(S, "stationary_distribution", started)
     # unit exit rates: a call expects horizon / T jumps
     env = pm1_twin()
     for T, horizon in ((1.0, 1e17), (1e-3, 1.01e5), (1e-300, 1e300)):
@@ -161,20 +164,79 @@ def test_rejects_horizons_past_the_jump_cap(monkeypatch):
         S.simulate_lyapunov(env, 1.0, 1e-3, 0.99e5)
 
 
+def test_working_memory_is_bounded_by_the_chunk():
+    # the path is drawn and its flows exponentiated a chunk at a time, so
+    # ten times the jumps must not take ten times the memory
+    env = pm1_twin()
+
+    def peak(horizon):
+        tracemalloc.start()
+        try:
+            S.simulate_lyapunov(env, 1.0, 1e-2, horizon, seed=5)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(2.0)  # first-call allocations of NumPy stay out of the figures
+    # unit exit rates: about 2e3 and 2e4 jumps, two chunks against twenty
+    assert peak(2e2) <= 2.0 * peak(2e1)
+
+
 def test_zero_migration_is_allowed():
     est = S.simulate_lyapunov(pm1_twin(), 0.0, 1.0, 300.0, seed=1)
     assert np.isfinite(est.lambda_hat)
 
 
+class _DwellFlow:
+    """x -> e^{A dt} x through a per-state eigendecomposition with the
+    dominant exponent split off, the way the simulator applied each dwell
+    before it exponentiated whole chunks: (y, log_gain) with
+    e^{A dt} x = e^{log_gain} y.  A defective A takes chunked
+    ``scipy.linalg.expm`` steps instead."""
+
+    def __init__(self, A: np.ndarray):
+        self.A = A
+        w, V = np.linalg.eig(A)
+        self.shift = float(w.real.max())
+        try:
+            Vinv = np.linalg.inv(V)
+            ok = np.linalg.cond(V) < 1e8
+        except np.linalg.LinAlgError:
+            ok = False
+            Vinv = None
+        self.diagonalizable = ok
+        if ok:
+            self.w = w - self.shift
+            self.V, self.Vinv = V, Vinv
+
+    def apply(self, x: np.ndarray, dt: float) -> tuple[np.ndarray, float]:
+        if self.diagonalizable:
+            y = (self.V @ (np.exp(self.w * dt) * (self.Vinv @ x))).real
+            return y, self.shift * dt
+        B = self.A - self.shift * np.eye(self.A.shape[0])
+        nrm = max(1.0, float(np.abs(B).sum(axis=0).max()))
+        chunks = max(1, math.ceil(dt * nrm / 20.0))
+        E = scipy.linalg.expm(B * (dt / chunks))
+        y = x
+        gain = self.shift * dt
+        for _ in range(chunks):
+            y = E @ y
+            s = y.sum()
+            gain += math.log(s)
+            y = y / s
+        return y, gain
+
+
 def _simulate_with_choice(env, m, T, horizon, seed,
                           batches=S.DEFAULT_BATCHES):
-    """The simulator as it was with one ``Generator.choice`` call per jump,
-    which the CDF sampler must reproduce bit for bit.  It shares
-    ``_DwellFlow``, so it pins the sampling and the bookkeeping."""
+    """The simulator as it was with one ``Generator.choice`` call per jump
+    and one ``_DwellFlow`` step per dwell, an independent reference: the
+    CDF sampler must draw its path bit for bit, and the chunked flows must
+    give its estimate to rounding."""
     n = env.n_patches
     mu = S.stationary_distribution(env)
     rng = np.random.default_rng(seed)
-    flows = [S._DwellFlow(env.matrix(s, m)) for s in range(env.n_states)]
+    flows = [_DwellFlow(env.matrix(s, m)) for s in range(env.n_states)]
     exit_rates = -np.diag(env.Q)
     jump_probs = []
     for s in range(env.n_states):
@@ -228,9 +290,19 @@ def _outcome(simulate, *args):
 
 
 def _assert_same_path(env, m, T, horizon, seed):
+    """The same jumps, or the same error, as the reference; the estimate
+    and its standard error to rounding.  The standard error's bound is
+    relative, with the estimate's as a floor: where every batch grows at
+    the same rate, one side can read exactly 0 and the other rounding."""
     args = (env, m, T, horizon, seed)
     got = _outcome(S.simulate_lyapunov, *args)
-    assert got == _outcome(_simulate_with_choice, *args)
+    want = _outcome(_simulate_with_choice, *args)
+    if len(want) == 2:
+        assert got == want
+        return got
+    assert len(got) == 3 and got[2] == want[2]
+    assert abs(got[0] - want[0]) <= 1e-12
+    assert abs(got[1] - want[1]) <= max(1e-9 * want[1], 1e-12)
     return got
 
 
@@ -261,12 +333,13 @@ def test_cdf_sampler_reproduces_choice_path(env, log_m, log_T, jumps, seed):
     _assert_same_path(env, 10.0 ** log_m, T, jumps * T, seed)
 
 
-@pytest.mark.parametrize("T", [1e-3, 0.5, 20.0])
+@pytest.mark.parametrize("T", [1e-3, 0.5, 20.0, 100.0])
 def test_defective_state_reproduces_choice_path(T):
-    # at m = 1 the first state's matrix is the Jordan block [[0, 0], [1, 0]]
+    # at m = 1 the first state's matrix is the Jordan block [[0, 0], [1, 0]];
+    # at T = 100 each dwell's exponential takes several rescaled squarings
     env = S.environment([([1.0, 0.0], [[-1.0, 0.0], [1.0, 0.0]]),
                          ([-0.5, 0.2], L_SYM)], [[-1.0, 1.0], [2.0, -2.0]])
-    assert not S._DwellFlow(env.matrix(0, 1.0)).diagonalizable
+    assert not _DwellFlow(env.matrix(0, 1.0)).diagonalizable
     got = _assert_same_path(env, 1.0, T, 400.0 * T, 17)
     assert got[2] >= S.MIN_JUMPS
 
