@@ -28,7 +28,9 @@ from .dynamics import merged_segments
 from .model import PatchModel
 from .spectral import is_irreducible, kernel_vector, spectral_abscissa
 
+# the m* search widens this bracket 100-fold a step, within M_STAR_LIMITS
 M_STAR_BRACKET = (1e-6, 100.0)
+M_STAR_LIMITS = (1e-300, 1e300)
 M_STAR_MAXITER = 200
 
 
@@ -109,28 +111,30 @@ def corners(model: PatchModel) -> dict[str, float]:
     }
 
 
-def m_star(model: PatchModel, bracket_max: float = M_STAR_BRACKET[1]
-           ) -> float | None:
+def m_star(model: PatchModel) -> float | None:
     """Unique root of m -> Lambda(m, inf), or None.
 
-    The root is found by ``search.illinois_roots`` on the bracket
-    [M_STAR_BRACKET[0], bracket_max], until Lambda(m, inf) is exactly 0 or
-    the bracket is a few ulp wide.  None covers both the precondition
-    failures (some patch is not a sink, or chi <= 0) and the genuine
-    no-root case where the fast-migration value is nonnegative, so growth
-    persists for every m.
+    Lambda(m, inf) tends to chi > 0 as m -> 0 and to the fast-migration
+    value < 0 as m -> inf, and m* is c m* for migration L / c, so the
+    bracket comes from the model: from M_STAR_BRACKET, hi grows and lo
+    shrinks 100-fold until Lambda(hi, inf) <= 0 < Lambda(lo, inf), or
+    BracketFailure once an end passes M_STAR_LIMITS.  ``search.illinois_roots``
+    then runs until Lambda(m, inf) is exactly 0 or the bracket is a few ulp
+    wide.  None covers the precondition failures (some patch is not a sink,
+    or chi <= 0) and the no-root case of a nonnegative fast-migration value,
+    where growth persists for every m.
     """
     if chi(model) <= 0.0 or limit_m0(model) >= 0.0:
         return None
     if limit_minf(model) >= 0.0:
         return None  # slow-regime curve stays positive for all m
-    lo, hi = M_STAR_BRACKET[0], bracket_max
-    f_hi = limit_Tinf(model, hi)
-    if f_hi > 0.0:
-        raise BracketFailure(f"Lambda({hi}, inf) = {f_hi} > 0; widen bracket")
-    f_lo = limit_Tinf(model, lo)
-    if f_lo <= 0.0:
-        raise BracketFailure("no sign change on the bracket")
+    lo, hi = M_STAR_BRACKET
+    while (f_hi := limit_Tinf(model, hi)) > 0.0 and hi <= M_STAR_LIMITS[1]:
+        hi *= 100.0
+    while (f_lo := limit_Tinf(model, lo)) <= 0.0 and lo >= M_STAR_LIMITS[0]:
+        lo /= 100.0
+    if f_hi > 0.0 or f_lo <= 0.0:
+        raise BracketFailure(f"Lambda(m, inf) keeps one sign on [{lo}, {hi}]")
     (root,), _ = search.illinois_roots(
         lambda _, ms: [limit_Tinf(model, m) for m in ms],
         [lo], [hi], [f_lo], [f_hi], 0.0, M_STAR_MAXITER)
@@ -222,7 +226,7 @@ def limit_panel(model: PatchModel, m: float | None = None) -> LimitPanel:
             inf_val = float(kernel_vector(L) @ model.mean_rates())
     try:
         ms = m_star(model)
-    except (BracketFailure, ReducibleSegment):
+    except ReducibleSegment:
         ms = None
     return LimitPanel(
         chi=chi(model),

@@ -406,6 +406,8 @@ def run(argv=None) -> int:
         return _fail(2, "usage", str(exc))
     except (ValueError,) as exc:
         return _fail(2, "usage", str(exc))
+    except stochastic.InvalidEnvironment as exc:
+        return _fail(2, "validation", str(exc))
     except (dynamics.DynamicsError, asymptotics.AsymptoticsError,
             explorer.ExplorerError, stochastic.StochasticError) as exc:
         return _fail(1, "numerical", str(exc))

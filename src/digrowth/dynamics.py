@@ -8,13 +8,15 @@ exponentials of the model's merged segments.  All internal products carry a
 separate log-scale factor so that nothing overflows even when Lambda*T is in
 the thousands.  ``growth_rates`` evaluates Lambda over whole arrays of
 (m, T) in stacked passes, for sweeps and scans.  For two patches it takes
-each segment exponential and the final Perron root in closed form, written
-so that no entry is formed as a difference that cancels: no Pade step, no
-squaring and no eigensolver.  For three or more it exponentiates all
-segments of all cells of a block in one ``spectral.expm_stack_scaled``
-pass and takes the root from one stacked eigensolve.  ``monodromy`` and
-the scalar ``growth_rate`` run the same scaled product on a batch of one;
-``growth_rate`` takes the Perron pair of that product by power iteration.
+each segment exponential, their product and the final Perron root in
+closed form, written so that no entry is formed as a difference that
+cancels: no Pade step, no squaring and no eigensolver.  For three or more
+it exponentiates all segments of all cells of a block in one
+``spectral.expm_stack_scaled`` pass, multiplies them in one
+``spectral.scaled_product`` and takes the root from one stacked
+eigensolve.  ``monodromy`` and the scalar ``growth_rate`` run the same
+scaled product on a batch of one; ``growth_rate`` takes the Perron pair of
+that product by power iteration.
 
 The simplex reduction theta = x / sum(x) obeys
 dtheta/dt = A theta - <A theta, 1> theta and has a unique globally attracting
@@ -32,10 +34,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import ModelParameters, PatchModel, ValidationStatus
-from .spectral import (expm_stack_scaled, perron_frobenius_metzler,
-                       perron_positive)
+from .spectral import (expm_stack_scaled, kernel_vector,
+                       perron_frobenius_metzler, perron_positive,
+                       scaled_product)
 
+# RK4 steps and theta* grid nodes per unit of tau; the oracle's periods; the
+# tau width of the layer after each breakpoint that verify_slow_curve skips
 RK4_MIN_STEPS = 2_000
+ORACLE_PERIODS = 2_000
+SLOW_CURVE_LAYER = 0.05
 DEFECT_TOL = 1e-8
 # target on ||h * T * A|| per exponential sub-step, keeps factors representable
 _STEP_BUDGET = 10.0
@@ -113,44 +120,10 @@ def _monodromy_scaled(model: PatchModel,
     if model.validation is ValidationStatus.NO_POSITIVE_MONODROMY:
         raise_for_status("non_positive_monodromy")
     widths, mats = _kernel_segments(model, np.array([params.m]), rotate=False)
-    T = np.array([params.T])
-    if model.n == 2:
-        logscale, entries, broken = _scaled_product2(widths, T, mats)
-        M = np.reshape(entries, (2, 2))
-    else:
-        logscale, M, broken = _scaled_product(widths, T, mats)
-        M = M[0]
+    logscale, M, broken = _scaled_product(widths, np.array([params.T]), mats)
     if broken[0]:
         raise_for_status("error")
-    return M, float(logscale[0])
-
-
-def _monodromy_scaled_rk4(model: PatchModel, params: ModelParameters,
-                          steps: int = RK4_MIN_STEPS) -> tuple[np.ndarray, float]:
-    """Fundamental matrix over one period by classical RK4 on
-    dX/dtau = T A_k X, max(1, ceil(steps * w_k)) steps per segment,
-    renormalized as it goes.
-    """
-    _, widths, mats = merged_segments(model, params.m)
-    X = np.eye(model.n)
-    logscale = 0.0
-    for w, A in zip(widths, mats):
-        TA = params.T * A
-        nsteps = max(1, math.ceil(steps * w))
-        h = w / nsteps
-        for _ in range(nsteps):
-            k1 = TA @ X
-            k2 = TA @ (X + 0.5 * h * k1)
-            k3 = TA @ (X + 0.5 * h * k2)
-            k4 = TA @ (X + h * k3)
-            X = X + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            c = np.abs(X).max()
-            if not np.isfinite(c) or c <= 0.0:
-                raise IntegrationFailure("fundamental-matrix integration diverged")
-            if c > 1e100 or c < 1e-100:
-                X /= c
-                logscale += math.log(c)
-    return X, logscale
+    return M[0], float(logscale[0])
 
 
 def monodromy(model: PatchModel, params: ModelParameters) -> np.ndarray:
@@ -228,70 +201,57 @@ def _expm2_scaled(B: np.ndarray) -> tuple[tuple[np.ndarray, ...], np.ndarray,
     return E, 0.5 * (a + d) + s, broken
 
 
-def _scaled_product2(
-        widths: np.ndarray, T: np.ndarray, mats: np.ndarray
-) -> tuple[np.ndarray, tuple[np.ndarray, ...], np.ndarray]:
-    """``_scaled_product`` for two patches, on the entry arrays of all cells
-    and segments at once: (logscale, (p, r, r2, q), broken) with the product
-    [[p, r], [r2, q]], its factors from one ``_expm2_scaled`` call."""
-    with np.errstate(over="ignore"):  # an infinite norm marks the cell
-        B = (widths[:, None] * T)[:, :, None, None] * mats
-    (e00, e01, e10, e11), l, bad = _expm2_scaled(B)
-    broken = bad.any(axis=0)
-    logscale = l.sum(axis=0)
-    p, r, r2, q = e00[0], e01[0], e10[0], e11[0]
-    for k in range(len(widths)):
-        if k:
-            p, r, r2, q = (e00[k] * p + e01[k] * r2, e00[k] * r + e01[k] * q,
-                           e10[k] * p + e11[k] * r2, e10[k] * r + e11[k] * q)
-        c = np.maximum(np.maximum(p, q), np.maximum(r, r2))
-        # a product that underflowed to 0 is broken; its entries stay 0
-        fail = ~(c > 0.0)
-        broken |= fail
-        c[fail] = np.inf
-        p, r, r2, q = p / c, r / c, r2 / c, q / c
-        logscale += np.log(c)
-    return logscale, (p, r, r2, q), broken
-
-
-def _perron_root2(p, r, r2, q):
-    """Perron root of the nonnegative [[p, r], [r2, q]] (entry arrays):
-    (p + q)/2 + sqrt(((p - q)/2)^2 + r r2), a sum of nonnegative terms."""
-    return 0.5 * (p + q) + np.hypot(0.5 * (p - q), np.sqrt(r * r2))
-
-
 def _scaled_product(widths: np.ndarray, T: np.ndarray,
                     mats: np.ndarray) -> tuple[np.ndarray, np.ndarray,
                                                np.ndarray]:
     """(logscale, M, broken) per cell: Phi(T) = e^logscale M with M the
-    ordered product of the scaled segment exponentials, each step rescaled
-    to unit max entry, and ``broken`` marking cells whose scaling broke
-    down (M = I there).  The exponentials of all segments and cells come
-    from one ``expm_stack_scaled`` call on the (K * cells, n, n) stack.
-    Entries of M above -1e-13 are rounding and are clipped to 0."""
+    ordered product of the scaled segment exponentials, of unit max entry,
+    and ``broken`` marking cells whose scaling broke down.  Two patches
+    take one ``_expm2_scaled`` call and multiply in order on the entry
+    arrays of all cells, every entry a sum of nonnegative terms (M = 0 where
+    broken).  More take one ``expm_stack_scaled`` call on the (K * cells,
+    n, n) stack and one ``scaled_product`` (M = I where broken), and entries
+    of M above -1e-13 are rounding and are clipped to 0."""
     K, size, n = mats.shape[0], mats.shape[1], mats.shape[-1]
     with np.errstate(over="ignore"):  # an infinite norm marks the cell
         B = (widths[:, None] * T)[:, :, None, None] * mats
-    E, l, bad = expm_stack_scaled(B.reshape(K * size, n, n))
-    E, l = E.reshape(K, size, n, n), l.reshape(K, size)
-    broken = bad.reshape(K, size).any(axis=0)
-    logscale = np.zeros(size)
-    M = E[0]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        # a product that underflows to 0 leaves its logscale non-finite
+    if n == 2:
+        (e00, e01, e10, e11), l, bad = _expm2_scaled(B)
+        broken = bad.any(axis=0)
+        logscale = l.sum(axis=0)
+        P = np.array((e00[0], e01[0], e10[0], e11[0]))  # rows p, r, r2, q
         for k in range(K):
             if k:
-                M = E[k] @ M
-            c = np.abs(M.reshape(size, n * n)).max(axis=1)
-            M /= c[:, None, None]
-            logscale += l[k]
+                p, r, r2, q = P
+                P = np.array((e00[k] * p + e01[k] * r2, e00[k] * r + e01[k] * q,
+                              e10[k] * p + e11[k] * r2, e10[k] * r + e11[k] * q))
+            c = P.max(axis=0)
+            # a product that underflowed to 0 is broken; its entries stay 0
+            fail = ~(c > 0.0)
+            broken |= fail
+            c[fail] = np.inf
+            P /= c
             logscale += np.log(c)
-    fail = ~np.isfinite(logscale)
-    broken |= fail
+        # M[:, i, j] is the row 2 i + j of P, read in place
+        return logscale, P.T.reshape(size, 2, 2), broken
+    E, l, bad = expm_stack_scaled(B.reshape(K * size, n, n))
+    M, logscale, fail = scaled_product(E.reshape(K, size, n, n),
+                                       l.reshape(K, size))
+    broken = bad.reshape(K, size).any(axis=0) | fail
     M[fail] = np.eye(n)
     clip = M.min(axis=(1, 2)) > -1e-13
     M = np.where(clip[:, None, None], np.maximum(M, 0.0), M)
     return logscale, M, broken
+
+
+def _perron_root(M: np.ndarray) -> np.ndarray:
+    """Perron root of each nonnegative matrix of a stack (N, n, n): for
+    [[p, r], [r2, q]] the sum of nonnegative terms (p + q)/2 +
+    sqrt(((p - q)/2)^2 + r r2), else the top eigenvalue of one eigvals."""
+    if M.shape[-1] == 2:
+        p, r, r2, q = M[:, 0, 0], M[:, 0, 1], M[:, 1, 0], M[:, 1, 1]
+        return 0.5 * (p + q) + np.hypot(0.5 * (p - q), np.sqrt(r * r2))
+    return np.linalg.eigvals(M).real.max(axis=1)
 
 
 def _kernel_segments(model: PatchModel, m: np.ndarray,
@@ -334,12 +294,8 @@ def _growth_rates_block(model: PatchModel, m: np.ndarray,
                         T: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``growth_rates`` on flat m and T."""
     widths, mats = _kernel_segments(model, m)
-    if model.n == 2:
-        logscale, entries, broken = _scaled_product2(widths, T, mats)
-        root = _perron_root2(*entries)
-    else:
-        logscale, M, broken = _scaled_product(widths, T, mats)
-        root = np.linalg.eigvals(M).real.max(axis=1)
+    logscale, M, broken = _scaled_product(widths, T, mats)
+    root = _perron_root(M)
     # the model's monodromy is positive, so a root <= 0 has underflowed
     broken |= root <= 0.0
     status = np.full(len(m), "ok", dtype=object)
@@ -358,18 +314,13 @@ def growth_rates(model: PatchModel, m, T) -> tuple[np.ndarray, np.ndarray]:
     NoPositiveMonodromy model), or "error" where the scaled product breaks
     down or its root underflows to 0; Lambda is NaN where not "ok".  Cells
     go in blocks of _BLOCK_CELLS.  Per block the segment matrices
-    A_k = R_k + m L_k of all cells are formed at once, and each cell's
-    segment exponentials are multiplied in order with their own log-scale.
-    With three or more patches the exponentials of all segments and cells
-    of a block come from one ``expm_stack_scaled`` call, one Pade-13 and
-    one rescaled squaring loop over the (K * cells, n, n) stack, and the
-    Perron root is the dominant eigenvalue from one stacked dense solve.
-    With two patches both are closed forms on the entry arrays of all cells
-    and segments (``_expm2_scaled``, ``_perron_root2``) whose every entry
-    is a sum of nonnegative terms, so small entries keep their relative
-    accuracy.
-    A cell's value does not depend on the other cells of the batch.  Any
-    other exception propagates.
+    A_k = R_k + m L_k of all cells are formed at once, one
+    ``_scaled_product`` forms every cell's Phi(T) and one ``_perron_root``
+    its root: closed forms on the entry arrays for two patches, so small
+    entries keep their relative accuracy, and for more one stacked Pade-13,
+    one ``scaled_product`` and one stacked eigensolve.  A cell's value does
+    not depend on the other cells of the batch.  Any other exception
+    propagates.
     """
     m, T = np.broadcast_arrays(np.asarray(m, dtype=float),
                                np.asarray(T, dtype=float))
@@ -401,31 +352,50 @@ def raise_for_status(status) -> None:
         raise error(message)
 
 
-def growth_rate_oracle(model: PatchModel, params: ModelParameters,
-                       periods: int = 2000,
-                       steps_per_period: int = RK4_MIN_STEPS) -> float:
-    """Independent estimate of Lambda: RK4 fundamental matrix over one period
-    (no matrix exponentials, no eigensolves), then long-horizon propagation of
-    a positive vector with per-period renormalization and log accumulation.
+def growth_rate_oracle(model: PatchModel, params: ModelParameters) -> float:
+    """Independent estimate of Lambda: the fundamental matrix X over one
+    period by classical RK4 on dX/dtau = T A_k X, max(1, ceil(RK4_MIN_STEPS
+    * w_k)) steps per segment, renormalized as it goes (no matrix
+    exponentials, no eigensolves), then propagation of a positive vector
+    over ORACLE_PERIODS periods with per-period renormalization and log
+    accumulation.
     """
-    X, logscale = _monodromy_scaled_rk4(model, params, steps=steps_per_period)
+    _, widths, mats = merged_segments(model, params.m)
+    X = np.eye(model.n)
+    logscale = 0.0
+    for w, A in zip(widths, mats):
+        TA = params.T * A
+        nsteps = max(1, math.ceil(RK4_MIN_STEPS * w))
+        h = w / nsteps
+        for _ in range(nsteps):
+            k1 = TA @ X
+            k2 = TA @ (X + 0.5 * h * k1)
+            k3 = TA @ (X + 0.5 * h * k2)
+            k4 = TA @ (X + h * k3)
+            X = X + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            c = np.abs(X).max()
+            if not np.isfinite(c) or c <= 0.0:
+                raise IntegrationFailure("fundamental-matrix integration diverged")
+            if c > 1e100 or c < 1e-100:
+                X /= c
+                logscale += math.log(c)
     x = np.full(model.n, 1.0 / model.n)
     total = 0.0
-    for _ in range(periods):
+    for _ in range(ORACLE_PERIODS):
         x = X @ x
         s = x.sum()
         if not np.isfinite(s) or s <= 0.0:
             raise IntegrationFailure("oracle propagation left the positive cone")
         total += math.log(s)
         x /= s
-    return (total / periods + logscale) / params.T
+    return (total / ORACLE_PERIODS + logscale) / params.T
 
 
 # ---------------------------------------------------------------------------
 # Periodic simplex solution theta*
 # ---------------------------------------------------------------------------
 
-def _segment_grid(model: PatchModel, params: ModelParameters, resolution: int):
+def _segment_grid(model: PatchModel, params: ModelParameters):
     """Per-segment uniform tau grids with an even number of sub-intervals,
     dense enough that each exponential step has modest norm, and each
     segment's sub-step propagator e^{h T A_k} up to a positive factor, all
@@ -435,7 +405,7 @@ def _segment_grid(model: PatchModel, params: ModelParameters, resolution: int):
     with np.errstate(over="ignore"):  # an infinite need fails below
         norms = np.abs(mats).sum(axis=1).max(axis=1)
         need = np.maximum(np.maximum(
-            resolution * widths,
+            RK4_MIN_STEPS * widths,
             widths * params.T * norms / (_STEP_BUDGET / 4.0)), 8.0)
     if not np.isfinite(need).all():
         raise IntegrationFailure("sub-step grid needs unboundedly many nodes")
@@ -452,8 +422,7 @@ def _segment_grid(model: PatchModel, params: ModelParameters, resolution: int):
     return breaks, widths, mats, counts, props
 
 
-def _theta_star_segments(model: PatchModel, params: ModelParameters,
-                         resolution: int):
+def _theta_star_segments(model: PatchModel, params: ModelParameters):
     """theta* sampled on the per-segment grids, by exact exponential stepping
     from theta(0) = pi with renormalization at every node.
 
@@ -461,8 +430,7 @@ def _theta_star_segments(model: PatchModel, params: ModelParameters,
     thetas has one row per grid node including both segment endpoints.
     """
     res = growth_rate(model, params)
-    breaks, widths, mats, counts, props = _segment_grid(model, params,
-                                                        resolution)
+    breaks, widths, mats, counts, props = _segment_grid(model, params)
     theta = res.pi.copy()
     segments = []
     for b, w, A, nk, P in zip(breaks, widths, mats, counts, props):
@@ -479,11 +447,10 @@ def _theta_star_segments(model: PatchModel, params: ModelParameters,
     return segments, defect
 
 
-def periodic_simplex_solution(model: PatchModel, params: ModelParameters,
-                              grid_resolution: int = RK4_MIN_STEPS
-                              ) -> SimplexTrajectory:
+def periodic_simplex_solution(model: PatchModel,
+                              params: ModelParameters) -> SimplexTrajectory:
     """The T-periodic solution theta* on [0, T], anchored at the Perron vector."""
-    segments, defect = _theta_star_segments(model, params, grid_resolution)
+    segments, defect = _theta_star_segments(model, params)
     if defect > DEFECT_TOL:
         raise PeriodicityDefectExceeded(f"periodic defect {defect:.3e}")
     times = np.concatenate([taus[:-1] for taus, _, _ in segments]
@@ -494,14 +461,13 @@ def periodic_simplex_solution(model: PatchModel, params: ModelParameters,
 
 
 def propagate_simplex(model: PatchModel, params: ModelParameters,
-                      thetas: np.ndarray, periods: int = 1,
-                      grid_resolution: int = RK4_MIN_STEPS) -> np.ndarray:
+                      thetas: np.ndarray, periods: int = 1) -> np.ndarray:
     """Advance simplex states (rows of ``thetas``) by whole periods.
 
     Used to exhibit global asymptotic stability of theta*: arbitrary starts
     contract onto the periodic solution.
     """
-    *_, counts, props = _segment_grid(model, params, grid_resolution)
+    *_, counts, props = _segment_grid(model, params)
     X = np.asarray(thetas, dtype=float).T.copy()  # (n, batch)
     for _ in range(periods):
         for P, nk in zip(props, counts):
@@ -518,10 +484,9 @@ def _simpson_weights(nk: int, h: float) -> np.ndarray:
     return w * (h / 3.0)
 
 
-def growth_rate_integral(model: PatchModel, params: ModelParameters,
-                         grid_resolution: int = RK4_MIN_STEPS) -> float:
+def growth_rate_integral(model: PatchModel, params: ModelParameters) -> float:
     """Lambda via the integral of r(tau) . theta*(T tau) over one period."""
-    segments, _ = _theta_star_segments(model, params, grid_resolution)
+    segments, _ = _theta_star_segments(model, params)
     total = 0.0
     for (taus, thetas, _A), R in zip(segments, model.segments.R):
         nk = len(taus) - 1
@@ -531,8 +496,7 @@ def growth_rate_integral(model: PatchModel, params: ModelParameters,
     return float(total)
 
 
-def growth_rate_h_formula(model: PatchModel, params: ModelParameters,
-                          grid_resolution: int = RK4_MIN_STEPS) -> float:
+def growth_rate_h_formula(model: PatchModel, params: ModelParameters) -> float:
     """Constant-migration decomposition Lambda = sum_i p_i rbar_i + m int h(theta*).
 
     h(x) = sum_i (L x)_i p_i / x_i is nonnegative on the open positive cone,
@@ -541,11 +505,10 @@ def growth_rate_h_formula(model: PatchModel, params: ModelParameters,
     if not model.migration.is_constant():
         raise NonConstantMigration("h-formula requires time-independent migration")
     L = model.migration.value(0.0)
-    from .spectral import kernel_vector
     p = kernel_vector(L)
     rbar = model.mean_rates()
     base = float(p @ rbar)
-    segments, _ = _theta_star_segments(model, params, grid_resolution)
+    segments, _ = _theta_star_segments(model, params)
     integral = 0.0
     for taus, thetas, _A in segments:
         nk = len(taus) - 1
@@ -558,17 +521,16 @@ def growth_rate_h_formula(model: PatchModel, params: ModelParameters,
     return base + params.m * float(integral)
 
 
-def verify_slow_curve(model: PatchModel, params: ModelParameters,
-                      layer_width: float = 0.05,
-                      grid_resolution: int = RK4_MIN_STEPS) -> SlowCurveReport:
+def verify_slow_curve(model: PatchModel,
+                      params: ModelParameters) -> SlowCurveReport:
     """Sup-norm gap between theta*(T tau) and the per-tau dominant eigenvector
-    v(tau) of A(tau), excluding a layer of the given width after each
+    v(tau) of A(tau), excluding a layer of width SLOW_CURVE_LAYER after each
     breakpoint.  For large T the gap outside layers decays to zero.
     """
     if model.validation is not ValidationStatus.IRREDUCIBLE_EVERYWHERE:
         raise DynamicsError("slow-curve comparison needs an everywhere-"
                             "irreducible model")
-    segments, _ = _theta_star_segments(model, params, grid_resolution)
+    segments, _ = _theta_star_segments(model, params)
     jumps = [taus[0] for taus, _, _ in segments]
     sup = 0.0
     compared = 0
@@ -576,11 +538,12 @@ def verify_slow_curve(model: PatchModel, params: ModelParameters,
         _, v = perron_frobenius_metzler(A)
         mask = np.ones(len(taus), dtype=bool)
         for b in jumps + [1.0]:
-            mask &= ~((taus >= b - 1e-12) & (taus < b + layer_width))
+            mask &= ~((taus >= b - 1e-12) & (taus < b + SLOW_CURVE_LAYER))
         if not mask.any():
             continue
         dev = np.abs(thetas[mask] - v[None, :]).max()
         sup = max(sup, float(dev))
         compared += int(mask.sum())
     return SlowCurveReport(sup_deviation=sup, T=params.T,
-                           layer_width=layer_width, n_compared=compared)
+                           layer_width=SLOW_CURVE_LAYER,
+                           n_compared=compared)

@@ -31,8 +31,14 @@ DEFAULT_RESOLUTION = 128
 CURVE_TOL = 1e-8
 # cap on the steps of every lockstep root and maximum search
 BISECT_CAP = 60
-# points of the log-spaced T scan behind max_lambda_over_T and growth_band
+# points of the log-spaced T scans behind max_lambda_over_T and growth_band,
+# and behind critical_period
 T_SCAN_SAMPLES = 400
+PERIOD_SCAN_SAMPLES = 200
+# growth_band's edges are roots of max_T Lambda(m, T) to BAND_TOL
+BAND_TOL = 5e-4
+# sweep resolution behind the empirical verdict of classify_dig
+CLASSIFY_RESOLUTION = 64
 # a T-maximum search stops once its step in log T is shorter than this
 POLISH_WIDTH = 1e-6
 
@@ -175,11 +181,9 @@ def critical_curve(model: PatchModel,
                    m_range: tuple[float, float] = DEFAULT_M_RANGE,
                    T_range: tuple[float, float] = DEFAULT_T_RANGE,
                    resolution: int | tuple[int, int] = DEFAULT_RESOLUTION,
-                   tol: float = CURVE_TOL,
-                   grid: SweepGrid | None = None) -> CriticalCurve:
+                   tol: float = CURVE_TOL) -> CriticalCurve:
     """Zero-level set of Lambda(m, T) as refined polyline branches."""
-    if grid is None:
-        grid = sweep(model, m_range, T_range, resolution)
+    grid = sweep(model, m_range, T_range, resolution)
     mv, Tv, lam = grid.m_values, grid.T_values, grid.lam
     links = _crossing_links(grid.ok() & np.isfinite(lam), lam > 0.0)
     if not links:
@@ -213,13 +217,12 @@ def critical_curve(model: PatchModel,
                          residuals=[res for _, res in branches], tol=tol)
 
 
-def classify_dig(model: PatchModel,
-                 sweep_resolution: int = 64) -> DigVerdict:
+def classify_dig(model: PatchModel) -> DigVerdict:
     """Exact verdict for everywhere-irreducible models; empirical otherwise."""
     chi_val = asymptotics.chi(model)
     all_sinks = model.all_sinks()
     if model.validation is not ValidationStatus.IRREDUCIBLE_EVERYWHERE:
-        grid = sweep(model, resolution=sweep_resolution)
+        grid = sweep(model, resolution=CLASSIFY_RESOLUTION)
         finite = grid.lam[grid.ok() & np.isfinite(grid.lam)]
         found = bool(finite.size and finite.max() > 0.0)
         best = float(finite.max()) if finite.size else float("nan")
@@ -263,22 +266,22 @@ def monotonicity_scan(model: PatchModel, m_list, T_ladder) -> dict:
 
 
 def critical_period(model: PatchModel, m: float,
-                    T_range: tuple[float, float] = DEFAULT_T_RANGE,
-                    samples: int = 200, tol: float = CURVE_TOL) -> float:
-    """Smallest period T with Lambda(m, T) = 0 along a log-spaced scan.
+                    T_range: tuple[float, float] = DEFAULT_T_RANGE) -> float:
+    """Smallest period T with Lambda(m, T) = 0 along a log-spaced scan of
+    PERIOD_SCAN_SAMPLES periods, to |Lambda| <= CURVE_TOL.
 
     Raises NoZeroCrossing when Lambda keeps one sign over the whole range.
     """
-    Ts = np.geomspace(T_range[0], T_range[1], samples)
+    Ts = np.geomspace(T_range[0], T_range[1], PERIOD_SCAN_SAMPLES)
     vals, status = growth_rates(model, m, Ts)
     for k, (T, v) in enumerate(zip(Ts, vals)):
         raise_for_status(status[k])
-        if abs(v) <= tol:
+        if abs(v) <= CURVE_TOL:
             return float(T)
         if k and (v > 0.0) != (vals[k - 1] > 0.0):
             (root,), _ = search.illinois_roots(
                 lambda _, t: _lambdas(model, m, t),
-                [Ts[k - 1]], [T], [vals[k - 1]], [v], tol, BISECT_CAP)
+                [Ts[k - 1]], [T], [vals[k - 1]], [v], CURVE_TOL, BISECT_CAP)
             return float(root)
     raise NoZeroCrossing(f"Lambda({m}, .) keeps one sign on {T_range}")
 
@@ -303,11 +306,10 @@ def _polish_max(model: PatchModel, ms: np.ndarray, Ts: np.ndarray,
 
 
 def max_lambda_over_T(model: PatchModel, m: float,
-                      T_range: tuple[float, float] = DEFAULT_T_RANGE,
-                      samples: int = T_SCAN_SAMPLES) -> float:
-    """max_T Lambda(m, T): a log-spaced scan, polished by a parabolic search
-    in log T around its argmax."""
-    Ts = np.geomspace(T_range[0], T_range[1], samples)
+                      T_range: tuple[float, float] = DEFAULT_T_RANGE) -> float:
+    """max_T Lambda(m, T): a log-spaced scan of T_SCAN_SAMPLES periods,
+    polished by a parabolic search in log T around its argmax."""
+    Ts = np.geomspace(T_range[0], T_range[1], T_SCAN_SAMPLES)
     ms = np.array([m], dtype=float)
     return float(_polish_max(model, ms, Ts,
                              _lambdas(model, ms[:, None], Ts[None, :]))[0])
@@ -316,13 +318,13 @@ def max_lambda_over_T(model: PatchModel, m: float,
 def growth_band(model: PatchModel,
                 m_range: tuple[float, float] = DEFAULT_M_RANGE,
                 T_range: tuple[float, float] = DEFAULT_T_RANGE,
-                coarse: int = 48, tol: float = 5e-4) -> tuple[float, float]:
+                coarse: int = 48) -> tuple[float, float]:
     """Extent [m_lo, m_hi] of the set {m : max_T Lambda(m, T) > 0}.
 
     Assumes a single band, as produced by models whose growth region is a
     bounded strip in m.  A coarse log-spaced m scan brackets the two ends;
     both are then located together by an Illinois root search on the
-    T-maximized growth rate g(m), to |g| <= tol.  Every evaluation of g is
+    T-maximized growth rate g(m), to |g| <= BAND_TOL.  Every evaluation of g is
     one batched T-scan plus one lockstep polish over all its m values.
     """
     Ts = np.geomspace(T_range[0], T_range[1], T_SCAN_SAMPLES)
@@ -342,7 +344,7 @@ def growth_band(model: PatchModel,
                     dtype=int)
     roots, _ = search.illinois_roots(lambda _, m: g(m), ms[left],
                                      ms[left + 1], gs[left], gs[left + 1],
-                                     tol, BISECT_CAP)
+                                     BAND_TOL, BISECT_CAP)
     m_lo = roots[0] if i0 > 0 else ms[0]
     m_hi = roots[-1] if i1 < len(ms) - 1 else ms[-1]
     return float(m_lo), float(m_hi)

@@ -24,8 +24,6 @@ from functools import cached_property
 import numpy as np
 
 COLUMN_SUM_TOL = 1e-12
-# entries below this are structural zeros when testing strong connectivity
-EDGE_TOL = 1e-14
 
 SCHEMA_VERSION = 1
 
@@ -236,7 +234,8 @@ def validate(model: PatchModel) -> ValidationReport:
     closure of L_k, so the monodromy's pattern at every m, T > 0 is the
     Boolean product of the closures in segment order.  IrreducibleEverywhere:
     every closure is full.  Else PositiveMonodromyOnly if the product is
-    full (the growth rate exists), NoPositiveMonodromy if not.
+    full (the growth rate exists), NoPositiveMonodromy if not.  Entries at
+    or below ``spectral.EDGE_TOL`` are structural zeros.
     """
     from .spectral import reachability  # local import avoids a cycle
 
@@ -253,7 +252,7 @@ def validate(model: PatchModel) -> ValidationReport:
             if abs(s) > COLUMN_SUM_TOL:
                 issues.append(ValidationIssue("ColumnSumViolation", k, int(j),
                                               residual=float(s)))
-        reach = reachability(L, tol=EDGE_TOL)
+        reach = reachability(L)
         irreducible &= bool(reach.all())
         pattern = reach @ pattern
 

@@ -12,6 +12,9 @@ Contents:
   package: the growth rate of three or more patches exponentiates every
   segment of every cell in one call, theta* every sub-step, and the
   switched simulator every dwell of a chunk.
+* ``scaled_product`` — the ordered product of a stack of factors e^l E,
+  pairwise and rescaled to unit max entry with the logs kept apart: every
+  scaled Phi(T) of the growth rate and every batch of simulator dwells.
 * ``perron_positive`` — dominant eigenpair of an entrywise-positive matrix by
   power iteration, with a dense-eigensolver fallback.
 * ``perron_frobenius_metzler`` — spectral abscissa and nonnegative right
@@ -19,8 +22,8 @@ Contents:
 * ``spectral_abscissa`` — max real part of the spectrum, any square matrix.
 * ``kernel_vector`` — the positive kernel direction of an irreducible
   zero-column-sum Metzler matrix, from the cofactor formula.
-* ``reachability`` — Boolean closure of the positive off-diagonal graph, the
-  zero pattern of e^{tA}; ``is_irreducible`` is whether it is full.
+* ``reachability`` — Boolean closure of the graph of off-diagonal entries
+  > EDGE_TOL, the zero pattern of e^{tA}; ``is_irreducible``: is it full.
 """
 
 from __future__ import annotations
@@ -31,7 +34,9 @@ import numpy as np
 
 POWER_TOL = 1e-12
 POWER_MAXITER = 100_000
-# if the residual has not dropped below sqrt(tol) by here, the spectral gap is
+# entries at or below this are structural zeros of a graph
+EDGE_TOL = 1e-14
+# if the residual is still above sqrt(POWER_TOL) here, the spectral gap is
 # tiny and a dense solve is cheaper than grinding out the remaining iterations
 _POWER_STALL = 200
 # Padé-13 coefficients b_0 .. b_13, and the 1-norm up to which Padé-13 is
@@ -103,21 +108,44 @@ def expm_stack_scaled(A: np.ndarray) -> tuple[np.ndarray, np.ndarray,
     return E[inverse], l[inverse], broken[inverse]
 
 
-def reachability(A: np.ndarray, tol: float = 1e-14) -> np.ndarray:
-    """Reflexive closure of the graph of off-diagonal entries > tol, by
+def scaled_product(E: np.ndarray, l: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(P, logs, broken) with e^logs P = e^{l[K-1]} E[K-1] ... e^{l[0]} E[0]
+    over a stack E (K, ..., n, n) and its logs l (K, ...): pairwise, later
+    factor on the left, one stacked ``@`` per level, an odd last factor
+    carried up a level.  Each product is rescaled to unit max entry with
+    the log of the factor added; ``broken`` marks a non-finite log (a
+    product that was 0 or not finite).  For K <= 3 factors of unit max
+    entry the arithmetic is that of a left-to-right loop."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # a product that is 0 or not finite leaves its log non-finite
+        while len(E) > 1:
+            even = len(E) - len(E) % 2
+            P = E[1:even:2] @ E[:even:2]
+            c = np.abs(P).max(axis=(-2, -1))
+            P /= c[..., None, None]
+            logs = l[:even:2] + l[1:even:2] + np.log(c)
+            if even < len(E):
+                P = np.concatenate([P, E[even:]])
+                logs = np.concatenate([logs, l[even:]])
+            E, l = P, logs
+    return E[0], l[0], ~np.isfinite(l[0])
+
+
+def reachability(A: np.ndarray) -> np.ndarray:
+    """Reflexive closure of the graph of off-diagonal entries > EDGE_TOL, by
     ceil(log2 n) Boolean squarings: (i, j) is True iff j reaches i.  For a
     Metzler A and t > 0 it is the zero pattern of e^{tA}."""
     A = np.asarray(A, dtype=float)
     n = A.shape[0]
-    reach = (np.abs(A) > tol) | np.eye(n, dtype=bool)
+    reach = (np.abs(A) > EDGE_TOL) | np.eye(n, dtype=bool)
     for _ in range(math.ceil(math.log2(n))):
         reach = reach @ reach
     return reach
 
 
-def is_irreducible(A: np.ndarray, tol: float = 1e-14) -> bool:
-    """True iff the graph of off-diagonal entries > tol is strongly connected."""
-    return bool(reachability(A, tol).all())
+def is_irreducible(A: np.ndarray) -> bool:
+    """True iff the graph of ``reachability`` is strongly connected."""
+    return bool(reachability(A).all())
 
 
 def _dense_dominant(A: np.ndarray) -> tuple[float, np.ndarray]:
@@ -128,19 +156,19 @@ def _dense_dominant(A: np.ndarray) -> tuple[float, np.ndarray]:
     return float(w[k].real), v / v.sum()
 
 
-def perron_positive(A: np.ndarray, tol: float = POWER_TOL,
-                    maxiter: int = POWER_MAXITER) -> tuple[float, np.ndarray]:
+def perron_positive(A: np.ndarray) -> tuple[float, np.ndarray]:
     """Dominant eigenvalue and unit-sum positive eigenvector of A > 0.
 
-    Power iteration; falls back to a dense eigensolve if convergence stalls
-    (near-degenerate dominant pair) or the iteration budget runs out.
+    Power iteration to POWER_TOL; falls back to a dense eigensolve if
+    convergence stalls (near-degenerate dominant pair) or POWER_MAXITER
+    iterations run out.
     """
     A = np.asarray(A, dtype=float)
     n = A.shape[0]
     v = np.full(n, 1.0 / n)
     lam = 0.0
     prev_res = np.inf
-    for it in range(maxiter):
+    for it in range(POWER_MAXITER):
         w = A @ v
         lam = w.sum()
         if lam <= 0.0:
@@ -148,11 +176,11 @@ def perron_positive(A: np.ndarray, tol: float = POWER_TOL,
         w /= lam
         res = np.abs(w - v).max()
         v = w
-        # once under tol, keep going while the residual still shrinks: the
-        # eigenvalue error tracks the residual, so ride it to the floor
-        if res < tol and (res == 0.0 or res >= prev_res):
+        # once under POWER_TOL, keep going while the residual still shrinks:
+        # the eigenvalue error tracks the residual, so ride it to the floor
+        if res < POWER_TOL and (res == 0.0 or res >= prev_res):
             return float(lam), v
-        if it == _POWER_STALL and res > np.sqrt(tol):
+        if it == _POWER_STALL and res > np.sqrt(POWER_TOL):
             return _dense_dominant(A)
         prev_res = res
     return _dense_dominant(A)

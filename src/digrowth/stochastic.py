@@ -18,9 +18,11 @@ would give without rebuilding and re-checking the law at every jump.  The
 chain's path does not depend on the population, so it is drawn a chunk of
 dwells at a time and the chunk's flows are formed in one
 ``spectral.expm_stack_scaled`` pass, each as e^l E with E of unit max entry,
-so long dwells and defective matrices need no special path.  Each batch's
-flows are multiplied pairwise in stacked products, rescaled with their logs
-kept apart, and the population vector takes one product per batch.
+so long dwells and defective matrices need no special path.  The runs of
+flows of the chunk's batches, padded with identities to the longest run,
+are multiplied in one ``spectral.scaled_product`` call, pairwise and
+rescaled with their logs kept apart, and the population vector takes one
+product per batch.
 """
 
 from __future__ import annotations
@@ -33,11 +35,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .spectral import (expm_stack_scaled, is_irreducible, kernel_vector,
-                       spectral_abscissa)
+                       scaled_product, spectral_abscissa)
 
 GENERATOR_ROW_TOL = 1e-12
 MIN_JUMPS = 100
-DEFAULT_BATCHES = 20
+# batches of equal time behind the batch-means standard error
+BATCHES = 20
 DEFAULT_SEED = 20260826
 # cap on the expected jumps of one simulate_lyapunov call, horizon times the
 # largest exit rate over T: 7 to 13 min at 4 to 8 us per jump (2-core host,
@@ -53,6 +56,10 @@ _CHUNK_DWELLS = 1024
 
 class StochasticError(Exception):
     pass
+
+
+class InvalidEnvironment(StochasticError):
+    """The environment document or matrices break the model's constraints."""
 
 
 class ReducibleChain(StochasticError):
@@ -74,21 +81,21 @@ class MarkovEnvironment:
     def __post_init__(self):
         N = len(self.rates)
         if len(self.migrations) != N or self.Q.shape != (N, N):
-            raise StochasticError("state count mismatch")
+            raise InvalidEnvironment("state count mismatch")
         n = len(self.rates[0])
         for r, L in zip(self.rates, self.migrations):
             if len(r) != n or L.shape != (n, n):
-                raise StochasticError("patch count mismatch across states")
+                raise InvalidEnvironment("patch count mismatch across states")
             off = L - np.diag(np.diag(L))
             if off.min() < 0.0:
-                raise StochasticError("migration matrices must be Metzler")
+                raise InvalidEnvironment("migration matrices must be Metzler")
             if np.abs(L.sum(axis=0)).max() > GENERATOR_ROW_TOL:
-                raise StochasticError("migration columns must sum to zero")
+                raise InvalidEnvironment("migration columns must sum to zero")
         offQ = self.Q - np.diag(np.diag(self.Q))
         if offQ.min() < 0.0:
-            raise StochasticError("generator off-diagonals must be nonnegative")
+            raise InvalidEnvironment("generator off-diagonals must be nonnegative")
         if np.abs(self.Q.sum(axis=1)).max() > GENERATOR_ROW_TOL:
-            raise StochasticError("generator rows must sum to zero")
+            raise InvalidEnvironment("generator rows must sum to zero")
 
     @property
     def n_states(self) -> int:
@@ -123,7 +130,7 @@ def from_dict(doc: dict) -> MarkovEnvironment:
         states = [(st["R"], st["L"]) for st in doc["states"]]
         return environment(states, doc["Q"])
     except (KeyError, TypeError) as exc:
-        raise StochasticError(f"malformed environment document: {exc}") from exc
+        raise InvalidEnvironment(f"malformed environment document: {exc}") from exc
 
 
 def load(path) -> MarkovEnvironment:
@@ -159,12 +166,10 @@ def _carry(mats: np.ndarray, states: list[int], dts: list[float],
     log-growth over the chunk is added to ``batch_logs``.
 
     One ``expm_stack_scaled`` call gives every e^{A_s dt} = e^l E of the
-    chunk.  Each batch's run of factors is padded with identities to a
-    power-of-two width, and all runs are multiplied pairwise in stacked
-    ``@`` steps, later factor on the left, every product rescaled to unit
-    max entry with its log added.  x then takes one matvec per batch.  The
-    padded stack holds at most (batches in the chunk) x (twice the longest
-    run) factors.
+    chunk.  Each batch's run of factors is padded with identities to the
+    longest run, and one ``scaled_product`` call multiplies all runs, later
+    factor on the left.  x then takes one matvec per batch.  The padded
+    stack holds (batches in the chunk) x (longest run) factors.
     """
     n = x.size
     with np.errstate(over="ignore"):  # an infinite norm marks the flow
@@ -175,21 +180,13 @@ def _carry(mats: np.ndarray, states: list[int], dts: list[float],
     owners = np.array(owners)
     starts = np.flatnonzero(np.diff(owners, prepend=-1))
     sizes = np.diff(starts, append=len(owners))
-    width = 1 << int(sizes.max() - 1).bit_length()
     # factor j of run i sits at starts[i] + j; the identity past its end
-    col = np.arange(width)
-    take = np.where(col < sizes[:, None], starts[:, None] + col, len(owners))
-    P = np.concatenate([E, np.eye(n)[None]])[take]
-    logs = np.add.reduceat(l, starts)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        # a product that is 0 or not finite leaves its log non-finite
-        while P.shape[1] > 1:
-            P = P[:, 1::2] @ P[:, ::2]
-            c = np.abs(P).max(axis=(2, 3))
-            P /= c[..., None, None]
-            logs += np.log(c).sum(axis=1)
+    col = np.arange(sizes.max())[:, None]
+    take = np.where(col < sizes, starts + col, len(owners))
+    P, logs, _ = scaled_product(np.concatenate([E, np.eye(n)[None]])[take],
+                                np.append(l, 0.0)[take])
     for run, k in enumerate(owners[starts].tolist()):
-        x = P[run, 0] @ x
+        x = P[run] @ x
         norm = x.sum()
         gain = logs[run] + math.log(norm) if norm > 0.0 else math.nan
         if not math.isfinite(gain):
@@ -200,12 +197,13 @@ def _carry(mats: np.ndarray, states: list[int], dts: list[float],
 
 
 def simulate_lyapunov(env: MarkovEnvironment, m: float, T: float,
-                      horizon: float, seed: int = DEFAULT_SEED,
-                      batches: int = DEFAULT_BATCHES) -> LyapunovEstimate:
+                      horizon: float,
+                      seed: int = DEFAULT_SEED) -> LyapunovEstimate:
     """Monte-Carlo estimate of the Lyapunov exponent at time dilation T.
 
     One trajectory of length ``horizon``; the estimate is the accumulated
-    log-growth over the horizon, with a batch-means standard error.  Raises
+    log-growth over the horizon, with a standard error from the means of
+    BATCHES batches of equal time.  Raises
     ValueError unless m is finite and >= 0 and T and the horizon are finite
     and > 0, and when the expected jump count, horizon * max_s(-Q_ss) / T,
     exceeds MAX_EXPECTED_JUMPS.
@@ -243,9 +241,9 @@ def simulate_lyapunov(env: MarkovEnvironment, m: float, T: float,
     x = np.full(n, 1.0 / n)
     t = 0.0
     jumps = 0
-    batch_logs = np.zeros(batches)
-    batch_time = [0.0] * batches
-    bwidth = horizon / batches
+    batch_logs = np.zeros(BATCHES)
+    batch_time = [0.0] * BATCHES
+    bwidth = horizon / BATCHES
     while t < horizon:
         # the chain's path does not depend on x: draw a chunk of it, then
         # carry x through the chunk's flows at once
@@ -253,7 +251,7 @@ def simulate_lyapunov(env: MarkovEnvironment, m: float, T: float,
         for _ in range(_CHUNK_DWELLS):
             dwell = T * exponential(scales[s])
             dt = min(dwell, horizon - t)
-            k = min(batches - 1, int(t / bwidth))
+            k = min(BATCHES - 1, int(t / bwidth))
             states.append(s)
             dts.append(dt)
             owners.append(k)

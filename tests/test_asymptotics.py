@@ -86,9 +86,41 @@ def test_m_star_none_when_not_all_sinks():
     assert A.m_star(mdl) is None
 
 
-def test_m_star_bracket_failure():
+def _migration_times(mdl, c):
+    """The model with its migration L replaced by c L."""
+    L = mdl.migration
+    return M.validated(M.PatchModel(mdl.n, mdl.growth,
+                                    M.PeriodicMatrixFunction.from_segments(
+                                        L.breaks, [c * Lk for Lk in L.matrices])))
+
+
+@pytest.mark.parametrize("c", [1e-6, 1e-3, 1e3, 1e6])
+def test_m_star_scales_with_the_migration(c):
+    # Lambda(m, inf) of the model with migration c L is Lambda(c m, inf) of
+    # the model, so its root is m* / c, outside [1e-6, 100] for c = 1e-3,
+    # 1e-6 and 1e6
+    mdl = M.builtin("ab1")
+    want = A.m_star(mdl) / c
+    assert A.m_star(_migration_times(mdl, c)) == pytest.approx(want,
+                                                               rel=1e-14)
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_m_star_bracket_search_is_capped(monkeypatch, sign):
+    # a slow-regime curve that never changes sign: positive for every m,
+    # or nonpositive for every m; the bracket stops widening at the caps
+    calls = []
+
+    def one_sign(model, m):
+        calls.append(m)
+        return sign
+
+    monkeypatch.setattr(A, "limit_Tinf", one_sign)
     with pytest.raises(A.BracketFailure):
-        A.m_star(M.builtin("ab1"), bracket_max=0.1)
+        A.m_star(M.builtin("ab1"))
+    # 1e-6 / 100^k and 100 * 100^k pass the caps at k = 148 and 150
+    assert len(calls) <= 153
+    assert min(calls) < A.M_STAR_LIMITS[0] or max(calls) > A.M_STAR_LIMITS[1]
 
 
 def test_m_star_residual():

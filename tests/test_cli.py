@@ -136,9 +136,50 @@ def test_classify(capsys):
     assert doc["case"] == "Case1" and doc["dig_possible"]
 
 
+def _ab1_migration_over_1000(tmp_path):
+    """ab1 with its migration divided by 1000, as a model file: its m* is
+    1000 times ab1's, 555.6, past the m* search's starting bracket."""
+    doc = M.to_dict(M.builtin("ab1"))
+    doc["migration"]["matrices"] = (
+        np.array(doc["migration"]["matrices"]) / 1000.0).tolist()
+    path = tmp_path / "ab1-slow.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def test_limits_find_m_star_past_the_starting_bracket(capsys, tmp_path):
+    code, out, _ = run(capsys, "limits", _ab1_migration_over_1000(tmp_path))
+    assert code == 0
+    assert json.loads(out)["m_star"] == pytest.approx(5000.0 / 9.0,
+                                                      rel=1e-13)
+
+
+def test_classify_past_the_starting_bracket(capsys, tmp_path):
+    code, out, _ = run(capsys, "classify", _ab1_migration_over_1000(tmp_path))
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["case"] == "Case1"
+    assert doc["m_star"] == pytest.approx(5000.0 / 9.0, rel=1e-13)
+
+
 SIM_ENV = {"states": [{"R": [0.5, -1.5], "L": [[-1, 1], [1, -1]]},
                       {"R": [-1.5, 0.5], "L": [[-1, 1], [1, -1]]}],
            "Q": [[-1, 1], [1, -1]]}
+
+
+@pytest.mark.parametrize("state", [
+    {"R": [0.5, -1.5], "L": [[1, -1], [-1, 1]]},   # not Metzler
+    {"R": [0.5, -1.5]},                             # no "L"
+])
+def test_simulate_invalid_environment_is_a_validation_error(capsys, tmp_path,
+                                                            state):
+    path = tmp_path / "env.json"
+    path.write_text(json.dumps(dict(SIM_ENV,
+                                    states=[state, SIM_ENV["states"][1]])))
+    code, out, err = run(capsys, "simulate", str(path), "--m", "1", "--T",
+                         "0.5", "--horizon", "300")
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "validation"
 
 
 def test_simulate(capsys, tmp_path):

@@ -73,7 +73,7 @@ def test_perron_root_matches_eigvals():
     P[0::4, 0, 1] = 0.0
     P[1::4, 1, 0] = 0.0
     P[2::4, 1, 1] = P[2::4, 0, 0]
-    root = D._perron_root2(P[:, 0, 0], P[:, 0, 1], P[:, 1, 0], P[:, 1, 1])
+    root = D._perron_root(P)
     want = np.linalg.eigvals(P).real.max(axis=1)
     assert np.all(np.abs(root - want) <= 1e-14 * P.max(axis=(1, 2)))
     for i in range(0, len(P), 7):

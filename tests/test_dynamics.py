@@ -130,7 +130,7 @@ def test_oracle_agrees_with_monodromy():
     mdl = M.builtin("ab1")
     params = P(0.5, 10.0)
     direct = D.growth_rate(mdl, params).lam
-    oracle = D.growth_rate_oracle(mdl, params, periods=2000)
+    oracle = D.growth_rate_oracle(mdl, params)
     assert oracle == pytest.approx(direct, abs=1e-4)
 
 
@@ -211,14 +211,14 @@ def test_verify_slow_curve_constant_matrix():
     growth = M.PeriodicMatrixFunction.constant(np.diag([0.3, -0.9]))
     migration = M.PeriodicMatrixFunction.constant([[-1.0, 2.0], [1.0, -2.0]])
     mdl = M.validated(M.PatchModel(2, growth, migration))
-    rep = D.verify_slow_curve(mdl, P(1.0, 10.0), layer_width=0.05)
+    rep = D.verify_slow_curve(mdl, P(1.0, 10.0))
     assert rep.sup_deviation <= 1e-8
 
 
 def test_verify_slow_curve_decay_ab1():
     mdl = M.builtin("ab1")
-    d20 = D.verify_slow_curve(mdl, P(1.0, 20.0), 0.05).sup_deviation
-    d200 = D.verify_slow_curve(mdl, P(1.0, 200.0), 0.05).sup_deviation
+    d20 = D.verify_slow_curve(mdl, P(1.0, 20.0)).sup_deviation
+    d200 = D.verify_slow_curve(mdl, P(1.0, 200.0)).sup_deviation
     assert d200 < d20
 
 

@@ -37,10 +37,11 @@ def test_sweep_equal_rates_constant():
     assert np.abs(grid.lam + 0.1).max() <= 1e-9
 
 
-# the segment exponential of each kernel path: the 2x2 closed form and the
-# stacked Pade-13 that three patches use
+# the segment exponential of each kernel path, the 2x2 closed form and the
+# stacked Pade-13 that three patches use, and the product three patches use
 @pytest.mark.parametrize("name, exponential", [
-    ("ab1", "_expm2_scaled"), ("fainshil(0.1,0.1)", "expm_stack_scaled")])
+    ("ab1", "_expm2_scaled"), ("fainshil(0.1,0.1)", "expm_stack_scaled"),
+    ("fainshil(0.1,0.1)", "scaled_product")])
 def test_sweep_propagates_unexpected_errors(monkeypatch, name, exponential):
     def broken(*args):
         raise ValueError("not a Lambda failure")
@@ -143,8 +144,7 @@ def test_critical_curve_ab1_single_branch():
 
 def test_critical_curve_sign_correctness():
     mdl = M.builtin("ab1")
-    grid = explorer.sweep(mdl, (0.01, 3.0), (0.1, 200.0), 32)
-    curve = explorer.critical_curve(mdl, grid=grid)
+    curve = explorer.critical_curve(mdl, (0.01, 3.0), (0.1, 200.0), 32)
     # inside the growth region (small m, huge T) Lambda > 0; outside < 0
     assert growth_rate(mdl, ModelParameters(0.2, 150.0)).lam > 0.0
     assert growth_rate(mdl, ModelParameters(2.0, 150.0)).lam < 0.0
@@ -196,8 +196,7 @@ def test_classify_chi_nonpositive():
 
 
 def test_classify_reducible_empirical():
-    verdict = explorer.classify_dig(M.builtin("unidir_favorable"),
-                                    sweep_resolution=24)
+    verdict = explorer.classify_dig(M.builtin("unidir_favorable"))
     assert verdict.case == "ReducibleUnknown"
     assert verdict.empirical["growth_found"]
 
@@ -227,7 +226,7 @@ def test_monotonicity_fainshil_non_monotone():
 
 def test_max_lambda_over_T_matches_limit_for_monotone_model():
     mdl = M.builtin("ab1")
-    best = explorer.max_lambda_over_T(mdl, 0.3, (0.5, 2000.0), samples=100)
+    best = explorer.max_lambda_over_T(mdl, 0.3, (0.5, 2000.0))
     assert best == pytest.approx(asymptotics.limit_Tinf(mdl, 0.3), abs=1e-3)
 
 

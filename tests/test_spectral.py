@@ -163,8 +163,8 @@ def test_is_irreducible():
 
 def test_is_irreducible_matches_connected_components(rng):
     # every off-diagonal 0/1 pattern for n <= 4, with absent edges written
-    # as 0 or as entries at tol, which do not count as edges
-    tol = 1e-14
+    # as 0 or as entries at EDGE_TOL, which do not count as edges
+    tol = S.EDGE_TOL
     checked = 0
     for n in range(1, 5):
         off = ~np.eye(n, dtype=bool)
@@ -176,6 +176,74 @@ def test_is_irreducible_matches_connected_components(rng):
             np.fill_diagonal(A, rng.uniform(-2.0, 0.0, n))
             ncomp, _ = connected_components(adj, directed=True,
                                             connection="strong")
-            assert S.is_irreducible(A, tol=tol) == (ncomp == 1), A
+            assert S.is_irreducible(A) == (ncomp == 1), A
             checked += 1
     assert checked == 4165
+
+
+def _sequential_product(E, l):
+    """E[K-1] ... E[0] and the sum of the logs, by a left-to-right loop
+    rescaled to unit max entry after every step."""
+    P, log = E[0].copy(), float(l[0])
+    for k in range(1, len(E)):
+        P = E[k] @ P
+        c = np.abs(P).max()
+        P /= c
+        log += l[k] + np.log(c)
+    return P, log
+
+
+def _factors(rng, K, n, shape=()):
+    """K factors of unit max entry with logs in [-50, 50]: exponentials of
+    Metzler matrices, as the kernels pass them."""
+    A = rng.uniform(0.0, 1.0, (K, *shape, n, n))
+    idx = np.arange(n)
+    A[..., idx, idx] = rng.uniform(-3.0, 1.0, (K, *shape, n))
+    E, l, broken = S.expm_stack_scaled(A.reshape(-1, n, n))
+    assert not broken.any()
+    return (E.reshape(K, *shape, n, n),
+            l.reshape(K, *shape) + rng.uniform(-50.0, 50.0, (K, *shape)))
+
+
+def _assert_same_product(P, log, want, want_log, l):
+    """Both products have unit max entry, so they agree entry by entry to
+    1e-14; the logs are sums in another order, and agree to 1e-14 of the
+    sum of the magnitudes of their terms."""
+    assert np.abs(P).max() == 1.0
+    assert np.abs(P - want).max() <= 1e-14
+    assert abs(log - want_log) <= 1e-14 * (np.abs(l).sum() + 1.0)
+
+
+@pytest.mark.parametrize("K", range(1, 10))
+def test_scaled_product_matches_a_sequential_loop(rng, K):
+    n, cells = 3, 5
+    E, l = _factors(rng, K, n, (cells,))
+    P, logs, broken = S.scaled_product(E, l)
+    assert P.shape == (cells, n, n) and logs.shape == (cells,)
+    assert not broken.any()
+    for c in range(cells):
+        want, want_log = _sequential_product(E[:, c], l[:, c])
+        _assert_same_product(P[c], logs[c], want, want_log, l[:, c])
+
+
+def test_scaled_product_of_runs_padded_with_identities(rng):
+    # ragged runs of 1 to 9 factors, padded with E = I, l = 0 to the longest
+    n, sizes = 4, [1, 9, 3, 6, 2, 8]
+    E, l = _factors(rng, max(sizes), n, (len(sizes),))
+    for run, size in enumerate(sizes):
+        E[size:, run] = np.eye(n)
+        l[size:, run] = 0.0
+    P, logs, broken = S.scaled_product(E, l)
+    assert not broken.any()
+    for run, size in enumerate(sizes):
+        want, want_log = _sequential_product(E[:size, run], l[:size, run])
+        _assert_same_product(P[run], logs[run], want, want_log, l[:, run])
+
+
+@pytest.mark.parametrize("K, zero_at", [(2, 0), (5, 4), (8, 3)])
+def test_scaled_product_of_a_zero_factor_is_broken(rng, K, zero_at):
+    E, l = _factors(rng, K, 3, (2,))
+    E[zero_at, 1] = 0.0
+    _, logs, broken = S.scaled_product(E, l)
+    assert list(broken) == [False, True]
+    assert np.isfinite(logs[0]) and not np.isfinite(logs[1])

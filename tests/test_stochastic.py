@@ -227,8 +227,7 @@ class _DwellFlow:
         return y, gain
 
 
-def _simulate_with_choice(env, m, T, horizon, seed,
-                          batches=S.DEFAULT_BATCHES):
+def _simulate_with_choice(env, m, T, horizon, seed):
     """The simulator as it was with one ``Generator.choice`` call per jump
     and one ``_DwellFlow`` step per dwell, an independent reference: the
     CDF sampler must draw its path bit for bit, and the chunked flows must
@@ -248,10 +247,10 @@ def _simulate_with_choice(env, m, T, horizon, seed,
     x = np.full(n, 1.0 / n)
     t = 0.0
     jumps = 0
-    batch_logs = np.zeros(batches)
-    batch_time = np.zeros(batches)
+    batch_logs = np.zeros(S.BATCHES)
+    batch_time = np.zeros(S.BATCHES)
     total_log = 0.0
-    bwidth = horizon / batches
+    bwidth = horizon / S.BATCHES
     while t < horizon:
         dwell = T * rng.exponential(1.0 / exit_rates[s])
         dt = min(dwell, horizon - t)
@@ -261,7 +260,7 @@ def _simulate_with_choice(env, m, T, horizon, seed,
             raise S.StochasticError("trajectory left the positive cone")
         gain += math.log(norm)
         x /= norm
-        k = min(batches - 1, int(t / bwidth))
+        k = min(S.BATCHES - 1, int(t / bwidth))
         batch_logs[k] += gain
         batch_time[k] += dt
         total_log += gain
