@@ -25,7 +25,7 @@ import numpy as np
 
 from . import search
 from .dynamics import merged_segments
-from .model import PatchModel
+from .model import PatchModel, ValidationStatus
 from .spectral import is_irreducible, kernel_vector, spectral_abscissa
 
 # the m* search widens this bracket 100-fold a step, within M_STAR_LIMITS
@@ -64,9 +64,38 @@ def limit_T0(model: PatchModel, m: float) -> float:
 
 
 def limit_Tinf(model: PatchModel, m: float) -> float:
-    """Slow regime: period average of the pointwise spectral abscissa."""
+    """Slow regime: the largest cycle mean of the max-plus product
+    (w_K S_K) x ... x (w_1 S_1), where (S_k)_ij is the largest spectral
+    abscissa over the classes of A_k = R_k + m L_k on a path from j to i,
+    -inf where i is out of j's reach (Akian, Bapat & Gaubert, C. R. Acad.
+    Sci. Paris 327, 1998).  The classes are those of L_k's graph
+    (``PatchModel.segment_reach``), so m = 0 gives the m -> 0+ limit.
+    With every A_k irreducible every entry of S_k is the abscissa of A_k,
+    and the value is the period average of the pointwise abscissa, which
+    is what such a model gets, summed directly.
+    """
     _, widths, mats = merged_segments(model, m)
-    return float(sum(w * spectral_abscissa(A) for w, A in zip(widths, mats)))
+    if model.validation is ValidationStatus.IRREDUCIBLE_EVERYWHERE:
+        return float(sum(w * spectral_abscissa(A)
+                         for w, A in zip(widths, mats)))
+    P = None
+    for w, A, reach in zip(widths, mats, model.segment_reach):
+        same = reach & reach.T  # i and j share a class
+        alpha = np.array([spectral_abscissa(A[np.ix_(c, c)]) for c in same])
+        # (S_k)_ij = max over the classes c with j -> c -> i of alpha_c
+        via = reach[:, :, None] & reach[None, :, :]
+        S = w * np.where(via, alpha[None, :, None], -np.inf).max(axis=1)
+        P = S if P is None else _maxplus(S, P)
+    best, Q = np.diag(P).max(), P
+    for k in range(2, model.n + 1):  # every elementary cycle is this short
+        Q = _maxplus(Q, P)
+        best = max(best, np.diag(Q).max() / k)
+    return float(best)
+
+
+def _maxplus(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """Max-plus product: (X x Y)_ij = max_k X_ik + Y_kj."""
+    return (X[:, :, None] + Y[None, :, :]).max(axis=1)
 
 
 def limit_m0(model: PatchModel) -> float:

@@ -215,6 +215,15 @@ class PatchModel:
             a.setflags(write=False)
         return seg
 
+    @cached_property
+    def segment_reach(self) -> np.ndarray:
+        """(K, n, n) ``spectral.reachability`` closure of each merged
+        segment's migration, built once: for m > 0 its classes are those of
+        R_k + m L_k."""
+        from .spectral import reachability  # local import avoids a cycle
+
+        return np.array([reachability(L) for L in self.segments.L])
+
     def rates(self, tau: float) -> np.ndarray:
         """Growth-rate vector r(tau)."""
         return np.diag(self.growth.value(tau))

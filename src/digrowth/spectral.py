@@ -4,12 +4,14 @@ Contents:
 
 * ``expm_stack_scaled`` — e^A = e^l E for each matrix of a stack (N, n, n),
   by Padé-13 scaling and squaring in NumPy over the whole stack (Higham,
-  SIAM J. Matrix Anal. Appl. 26(4), 2005): one scaling, one Padé-13 and one
-  ``solve`` for the stack, then squarings rescaled to unit max entry, each
-  matrix with its own squaring count from its 1-norm, so a matrix's
-  exponential does not depend on the rest of the stack.  It is the only
-  scaling-and-squaring loop and the only matrix exponential of the
-  package: the growth rate of three or more patches exponentiates every
+  SIAM J. Matrix Anal. Appl. 26(4), 2005): one scaling and one Padé-13 for
+  the stack, its linear system solved for n = 3 on entry arrays from the
+  adjugate (no per-matrix LAPACK call) and otherwise by one ``solve``,
+  then squarings rescaled to unit max entry every fourth step and once at
+  the end, each matrix with its own squaring count from its 1-norm, so a
+  matrix's exponential does not depend on the rest of the stack.  It is
+  the only scaling-and-squaring loop and the only matrix exponential of
+  the package: the growth rate of three or more patches exponentiates every
   segment of every cell in one call, theta* every sub-step, and the
   switched simulator every dwell of a chunk.
 * ``scaled_product`` — the ordered product of a stack of factors e^l E,
@@ -46,6 +48,11 @@ _PADE13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
            670442572800.0, 33522128640.0, 1323241920.0, 40840800.0,
            960960.0, 16380.0, 182.0, 1.0)
 _THETA13 = 5.371920351148152
+# squarings between rescales.  Over four, the max entry (i, j) of a
+# nonnegative n x n matrix F of unit max entry grows by at most n^15 and
+# stays above F_jj^15 F_ij: from the Pade result at unit max entry, whose
+# diagonal is above e^{-2 theta_13}, above e^{-30 theta_13}, about 1e-70
+_RESCALE_EVERY = 4
 
 
 def expm_stack_scaled(A: np.ndarray) -> tuple[np.ndarray, np.ndarray,
@@ -54,9 +61,11 @@ def expm_stack_scaled(A: np.ndarray) -> tuple[np.ndarray, np.ndarray,
 
     Padé-13 scaling and squaring (Higham 2005) in one pass over the stack:
     each matrix is scaled once by 2^-s, s = ceil(log2(||A||_1 / theta_13)),
-    one Padé-13 and one ``solve`` run over all of them, and s squarings
-    follow.  The Padé result and every square are rescaled to unit max
-    entry, with the log of the factor added to l, so no entry overflows
+    one Padé-13 runs over all of them, and s squarings follow.  For n = 3
+    the Padé system is solved by ``_solve3`` as I + 2 (V - U)^-1 U, else by
+    one ``solve`` as (V - U)^-1 (V + U).  The Padé result, every fourth
+    square and the result are rescaled to unit max entry, l doubling at
+    each squaring and gaining the log of each factor, so no entry overflows
     however large s is.  The stack is sorted by s, largest first, so
     squaring step k runs on the prefix of the matrices with s > k.
     ``broken`` marks matrices whose 1-norm is not finite or whose rescaling
@@ -84,7 +93,15 @@ def expm_stack_scaled(A: np.ndarray) -> tuple[np.ndarray, np.ndarray,
              + b[7] * A6 + b[5] * A4 + b[3] * A2 + b[1] * ident)
     V = (A6 @ (b[12] * A6 + b[10] * A4 + b[8] * A2)
          + b[6] * A6 + b[4] * A4 + b[2] * A2 + b[0] * ident)
-    E = np.linalg.solve(V - U, V + U)
+    del A, A2, A4, A6  # only U and V go on: this lowers the peak memory
+    if n == 3:
+        # e^A = I + 2 (V - U)^-1 U keeps the digits of the diagonal near 1
+        V -= U
+        U *= 2.0
+        E = _solve3(V, U)
+        E += ident
+    else:
+        E = np.linalg.solve(V - U, V + U)
 
     def rescale(F, p):
         """Write F / max|F| over E[:p]; the logs of the factors."""
@@ -97,8 +114,14 @@ def expm_stack_scaled(A: np.ndarray) -> tuple[np.ndarray, np.ndarray,
     with np.errstate(divide="ignore", invalid="ignore"):
         # a factor that is 0 or not finite leaves l non-finite for good
         l = rescale(E, N)
-        for p in ends.tolist():
-            l[:p] = 2.0 * l[:p] + rescale(E[:p] @ E[:p], p)
+        for k, p in enumerate(ends.tolist(), 1):
+            l[:p] *= 2.0
+            F = E[:p] @ E[:p]
+            if k % _RESCALE_EVERY:
+                E[:p] = F
+            else:
+                l[:p] += rescale(F, p)
+        l += rescale(E, N)
     fail = ~np.isfinite(l)
     broken |= fail
     E[fail] = ident
@@ -106,6 +129,25 @@ def expm_stack_scaled(A: np.ndarray) -> tuple[np.ndarray, np.ndarray,
     inverse = np.empty_like(order)
     inverse[order] = np.arange(N)
     return E[inverse], l[inverse], broken[inverse]
+
+
+def _solve3(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """A^-1 B over stacks (N, 3, 3) from the adjugate of each A and its
+    determinant, with no per-matrix LAPACK call.  On cyclic indices the
+    cofactors carry their own signs: adj(A)_ij = A_{j+1,i+1} A_{j+2,i+2}
+    - A_{j+1,i+2} A_{j+2,i+1}, and det A = sum_j A_0j adj(A)_j0."""
+    # W[:, r, c] = A[:, c % 3, r % 3], read as flat indices 3 (c % 3) + r % 3
+    W = A.reshape(len(A), 9)[:, (0, 3, 6, 0, 3, 1, 4, 7, 1, 4, 2, 5, 8, 2, 5,
+                                 0, 3, 6, 0, 3, 1, 4, 7, 1, 4)]
+    W = W.reshape(len(A), 5, 5)
+    adj = W[:, 1:4, 1:4] * W[:, 2:, 2:]
+    adj -= W[:, 1:4, 2:] * W[:, 2:, 1:4]
+    del W
+    a, c = A[:, 0], adj[:, :, 0]
+    det = a[:, 0] * c[:, 0] + a[:, 1] * c[:, 1] + a[:, 2] * c[:, 2]
+    X = adj @ B
+    X /= det[:, None, None]
+    return X
 
 
 def scaled_product(E: np.ndarray, l: np.ndarray) -> tuple[np.ndarray, ...]:

@@ -5,6 +5,7 @@ import pytest
 from conftest import random_model
 
 from digrowth import asymptotics as A
+from digrowth import dynamics as D
 from digrowth import model as M
 from digrowth.spectral import spectral_abscissa
 
@@ -121,6 +122,34 @@ def test_m_star_bracket_search_is_capped(monkeypatch, sign):
     # 1e-6 / 100^k and 100 * 100^k pass the caps at k = 148 and 150
     assert len(calls) <= 153
     assert min(calls) < A.M_STAR_LIMITS[0] or max(calls) > A.M_STAR_LIMITS[1]
+
+
+@pytest.mark.parametrize("name", ["three_patch_reducible",
+                                  "three_patch_reducible(1,-0.8)"])
+def test_limit_Tinf_of_reducible_segments(name):
+    # the favourable patch is its own class in each segment, and a sink in
+    # the next: Lambda(m, T) -> (1 + b)/2, not the pointwise abscissa 1
+    mdl = M.builtin(name)
+    b = -1.0 if name == "three_patch_reducible" else -0.8
+    for m in (0.05, 1.0, 20.0):
+        lam, status = D.growth_rates(mdl, m, np.array([500.0, 1000.0]))
+        assert np.all(status == "ok")
+        # Lambda = Lambda(m, inf) + c / T + O(e^{-gT}): cancel the c / T
+        assert A.limit_Tinf(mdl, m) == pytest.approx(2.0 * lam[1] - lam[0],
+                                                     abs=1e-6)
+        assert A.limit_Tinf(mdl, m) == pytest.approx((1.0 + b) / 2.0,
+                                                     abs=1e-14)
+
+
+def test_limit_Tinf_of_irreducible_segments_is_the_period_average():
+    for name in M.catalog():
+        mdl = M.builtin(name)
+        if mdl.validation is not M.ValidationStatus.IRREDUCIBLE_EVERYWHERE:
+            continue
+        for m in (0.05, 1.0, 20.0):
+            _, widths, mats = D.merged_segments(mdl, m)
+            assert A.limit_Tinf(mdl, m) == float(sum(
+                w * spectral_abscissa(Ak) for w, Ak in zip(widths, mats)))
 
 
 def test_m_star_residual():

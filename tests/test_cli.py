@@ -49,6 +49,13 @@ def test_limits_near_m_star(capsys):
     assert doc["lambda_infT"] == doc["corners"]["lambda_infinf"]
 
 
+def test_limits_of_reducible_segments(capsys):
+    # Lambda(1, T) of three_patch_reducible tends to (1 + b)/2 = 0
+    code, out, _ = run(capsys, "limits", "three_patch_reducible", "--m", "1")
+    assert code == 0
+    assert abs(json.loads(out)["lambda_m_Tinf"]) <= 1e-15
+
+
 def test_validate_builtin_ok(capsys):
     code, out, _ = run(capsys, "validate", "ab1")
     assert code == 0

@@ -145,9 +145,23 @@ def test_critical_curve_ab1_single_branch():
 def test_critical_curve_sign_correctness():
     mdl = M.builtin("ab1")
     curve = explorer.critical_curve(mdl, (0.01, 3.0), (0.1, 200.0), 32)
-    # inside the growth region (small m, huge T) Lambda > 0; outside < 0
+    # every vertex is a zero of Lambda, recomputed apart from the refinement
+    m, T = curve.vertices().T
+    lam, status = dynamics.growth_rates(mdl, m, T)
+    assert np.all(status == "ok")
+    assert np.abs(lam).max() <= explorer.CURVE_TOL
+    # inside the growth region (small m, huge T) Lambda > 0; outside < 0,
+    # and the curve crosses T = 150 between the two
     assert growth_rate(mdl, ModelParameters(0.2, 150.0)).lam > 0.0
     assert growth_rate(mdl, ModelParameters(2.0, 150.0)).lam < 0.0
+    crossings = []
+    for branch in curve.branches:
+        logm, logT = np.log(branch).T
+        for k in np.flatnonzero((logT[:-1] - np.log(150.0))
+                                * (logT[1:] - np.log(150.0)) <= 0.0):
+            f = (np.log(150.0) - logT[k]) / (logT[k + 1] - logT[k])
+            crossings.append(np.exp(logm[k] + f * (logm[k + 1] - logm[k])))
+    assert crossings and all(0.2 < c < 2.0 for c in crossings)
 
 
 def test_critical_curve_no_crossing():

@@ -2,6 +2,7 @@
 
 import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -163,3 +164,66 @@ def test_cell_is_independent_of_its_batch(name, point, others, data):
     k = order.index(0)
     assert status[k] == alone_status[0]
     assert np.array_equal(lam[k:k + 1], alone, equal_nan=True)
+
+
+THREE_PATCH = ["fainshil", "three_patch_circular", "three_patch_reducible",
+               "three_patch_reducible(1,-0.8)"]
+
+
+@pytest.mark.parametrize("name", THREE_PATCH)
+def test_three_patch_small_period_matches_mpmath(name):
+    # at T = 1e-3 the eigenvalues of Phi(T) all lie within O(T) of 1; the
+    # shifted cubic keeps the digits of their spread
+    mdl, T = M.builtin(name), 1e-3
+    m = np.array([0.01, 0.1, 1.0, 10.0, 100.0])
+    lam, status = D.growth_rates(mdl, m, T)
+    assert np.all(status == "ok")
+    seg = mdl.segments
+    for mk, got in zip(m, lam):
+        with mp.workdps(40):
+            phi = mp.eye(3)
+            for w, R, L in zip(seg.widths, seg.R, seg.L):
+                phi = mp.expm(mp.matrix((R + mk * L).tolist())
+                              * (mp.mpf(float(w)) * T)) * phi
+            mu = max(mp.re(v) for v in mp.eig(phi, left=False, right=False))
+            want = float(mp.log(mu) / T)
+        assert abs(got - want) <= 5e-13, (mk, got - want)
+
+
+def test_nearly_double_perron_root_takes_eigvals(monkeypatch):
+    # two equal diagonal blocks coupled by 1e-9: the Perron root 0.9 + 1e-9
+    # is nearly double, so the cubic is ill conditioned there
+    eps = 1e-9
+    near = np.array([[0.9, eps, 0.2], [eps, 0.9, 0.3], [0.0, 0.0, 0.4]])
+    apart = np.array([[0.9, 0.5, 0.2], [0.1, 0.6, 0.3], [0.2, 0.1, 0.4]])
+    calls = []
+    eigvals = np.linalg.eigvals
+
+    def spy(M):
+        calls.append(M.copy())
+        return eigvals(M)
+
+    monkeypatch.setattr(np.linalg, "eigvals", spy)
+    root = D._perron_root(np.array([apart, near, np.eye(3)]))
+    assert len(calls) == 1 and np.array_equal(calls[0], near[None])
+    for P, got in zip((apart, near), root):
+        with mp.workdps(40):
+            ev = mp.eig(mp.matrix(P.tolist()), left=False, right=False)
+            want = max(mp.re(v) for v in ev)
+        assert abs(got - want) <= 2e-16 * want
+    # a scalar matrix is its own root, off the cubic
+    assert root[2] == 1.0
+
+
+def test_reducible_statuses_at_large_periods():
+    # the statuses of the kernel that rescaled every square: a segment
+    # factor's smallest entry, e^{-2T/3} of its unit max entry, falls below
+    # the subnormal range past T = 1115.7, and each cell from there on is
+    # an error cell.  Squares rescaled every fourth step, whose max entry
+    # may sit far below 1 in between, must not move that onset
+    mdl = M.builtin("three_patch_reducible")
+    mv, Tv = np.geomspace(1e-2, 1e2, 24), np.geomspace(1e3, 1e8, 24)
+    _, status = D.growth_rates(mdl, mv[:, None], Tv[None, :])
+    assert np.all(status[:, 0] == "ok") and np.all(status[:, 1:] == "error")
+    _, status = D.growth_rates(mdl, mv[:, None], [[1115.6, 1115.8]])
+    assert np.all(status[:, 0] == "ok") and np.all(status[:, 1] == "error")

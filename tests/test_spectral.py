@@ -247,3 +247,26 @@ def test_scaled_product_of_a_zero_factor_is_broken(rng, K, zero_at):
     _, logs, broken = S.scaled_product(E, l)
     assert list(broken) == [False, True]
     assert np.isfinite(logs[0]) and not np.isfinite(logs[1])
+
+
+def test_adjugate_solve_matches_lapack():
+    # well-conditioned 3x3 systems, as V - U of the Pade-13 step is
+    rng = np.random.default_rng(11)
+    A = np.eye(3) + 0.1 * rng.normal(size=(500, 3, 3))
+    B = rng.normal(size=(500, 3, 3))
+    want = np.linalg.solve(A, B)
+    scale = np.abs(want).max(axis=(1, 2))[:, None, None]
+    assert np.all(np.abs(S._solve3(A, B) - want) <= 1e-15 * scale)
+
+
+def test_three_patch_exponential_calls_no_lapack(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("per-matrix LAPACK call")
+
+    monkeypatch.setattr(np.linalg, "solve", refuse)
+    rng = np.random.default_rng(12)
+    A = rng.uniform(0.0, 1.0, (64, 3, 3)) - 2.0 * np.eye(3)
+    A *= 10.0 ** rng.uniform(-3.0, 2.0, (64, 1, 1))
+    E = _expm(A)
+    assert np.all(np.abs(E - scipy.linalg.expm(A)) <= 1e-12 * np.abs(
+        E).max(axis=(1, 2))[:, None, None])
