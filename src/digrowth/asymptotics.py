@@ -26,7 +26,7 @@ import numpy as np
 from . import search
 from .dynamics import merged_segments
 from .model import PatchModel, ValidationStatus
-from .spectral import is_irreducible, kernel_vector, spectral_abscissa
+from .spectral import is_irreducible, kernel_vector, perron_root
 
 # the m* search widens this bracket 100-fold a step, within M_STAR_LIMITS
 M_STAR_BRACKET = (1e-6, 100.0)
@@ -58,9 +58,9 @@ def chi(model: PatchModel) -> float:
 
 
 def limit_T0(model: PatchModel, m: float) -> float:
-    """Fast regime: spectral abscissa of the period-averaged matrix."""
+    """Fast regime: Perron root of the period-averaged matrix."""
     A = model.growth.average() + m * model.migration.average()
-    return spectral_abscissa(A)
+    return float(perron_root(A[None])[0])
 
 
 def limit_Tinf(model: PatchModel, m: float) -> float:
@@ -76,12 +76,12 @@ def limit_Tinf(model: PatchModel, m: float) -> float:
     """
     _, widths, mats = merged_segments(model, m)
     if model.validation is ValidationStatus.IRREDUCIBLE_EVERYWHERE:
-        return float(sum(w * spectral_abscissa(A)
-                         for w, A in zip(widths, mats)))
+        return float(sum(widths * perron_root(mats)))
     P = None
     for w, A, reach in zip(widths, mats, model.segment_reach):
         same = reach & reach.T  # i and j share a class
-        alpha = np.array([spectral_abscissa(A[np.ix_(c, c)]) for c in same])
+        alpha = np.array([perron_root(A[np.ix_(c, c)][None])[0]
+                          for c in same])
         # (S_k)_ij = max over the classes c with j -> c -> i of alpha_c
         via = reach[:, :, None] & reach[None, :, :]
         S = w * np.where(via, alpha[None, :, None], -np.inf).max(axis=1)

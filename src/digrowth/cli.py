@@ -16,7 +16,8 @@ import sys
 
 import numpy as np
 
-from . import asymptotics, dynamics, explorer, model as model_mod, stochastic
+from . import (asymptotics, dynamics, explorer, model as model_mod, spectral,
+               stochastic)
 
 DIGITS = 15
 _FORMAT = f".{DIGITS}g"
@@ -274,16 +275,14 @@ def _repro_slow_curve(name, model_ref, m, T):
         mdl = _resolve_model(model_ref)
         params = model_mod.ModelParameters(m=m, T=T)
         traj = dynamics.periodic_simplex_solution(mdl, params)
-        from .spectral import perron_frobenius_metzler
+        breaks, _, mats = dynamics.merged_segments(mdl, m)
+        # segment k's grid starts at the time breaks[k] * T exactly
+        seg = np.searchsorted(breaks * T, traj.times, side="right") - 1
+        slow = spectral.perron_vector(mats)[seg]
+        rows = [[_fmt(t / T)] + [_fmt(x) for x in theta + v]
+                for t, theta, v in zip(traj.times.tolist(),
+                                       traj.states.tolist(), slow.tolist())]
         n = mdl.n
-        rows = []
-        for t, theta in zip(traj.times.tolist(), traj.states.tolist()):
-            tau = t / T
-            A = (mdl.growth.value(min(tau, 1 - 1e-12))
-                 + m * mdl.migration.value(min(tau, 1 - 1e-12)))
-            _, v = perron_frobenius_metzler(A)
-            rows.append([_fmt(tau)] + [_fmt(x) for x in theta]
-                        + [_fmt(x) for x in v.tolist()])
         with open(os.path.join(outdir, name + "_slow_curve.csv"), "w",
                   newline="") as fh:
             _write_rows(fh, ["tau"] + [f"theta_{i+1}" for i in range(n)]

@@ -13,18 +13,19 @@ closed form, written so that no entry is formed as a difference that
 cancels: no Pade step, no squaring and no eigensolver.  For three or more
 it exponentiates all segments of all cells of a block in one
 ``spectral.expm_stack_scaled`` pass and multiplies them in one
-``spectral.scaled_product``.  For three patches the root is the top root
-of the characteristic cubic of M - tr(M)/3 I in closed form, polished by
-one Newton step, with one ``eigvals`` on the few cells whose root is
-nearly double; for more patches it comes from one stacked eigensolve.
-``monodromy`` and the scalar ``growth_rate`` run the same scaled product
-on a batch of one; ``growth_rate`` takes the Perron pair of that product
-by power iteration.
+``spectral.scaled_product``.  One ``spectral.perron_root`` per block
+gives the roots: for three patches the top root of the characteristic
+cubic of M - tr(M)/3 I in closed form, polished by one Newton step, with
+one ``eigvals`` on the few cells whose root is nearly double; for more
+patches one stacked eigensolve.  ``monodromy`` and the scalar
+``growth_rate`` run the same scaled product on a batch of one;
+``growth_rate`` takes the Perron pair of that product by power iteration.
 
 The simplex reduction theta = x / sum(x) obeys
 dtheta/dt = A theta - <A theta, 1> theta and has a unique globally attracting
-T-periodic solution theta* anchored at the Perron vector of Phi(T).  From
-theta* come two independent expressions for Lambda: the integral formula
+T-periodic solution theta* anchored at the Perron vector of Phi(T), which
+for large T tracks each segment's ``spectral.perron_vector``.  From theta*
+come two independent expressions for Lambda: the integral formula
 Lambda = int_0^1 sum_i r_i(tau) theta*_i(T tau) dtau, and, for constant
 migration, the h-formula Lambda = sum_i p_i rbar_i + m int_0^1 h(theta*) dtau.
 """
@@ -37,9 +38,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import ModelParameters, PatchModel, ValidationStatus
-from .spectral import (expm_stack_scaled, kernel_vector,
-                       perron_frobenius_metzler, perron_positive,
-                       scaled_product)
+from .spectral import (expm_stack_scaled, kernel_vector, perron_positive,
+                       perron_root, perron_vector, scaled_product)
 
 # RK4 steps and theta* grid nodes per unit of tau; the oracle's periods; the
 # tau width of the layer after each breakpoint that verify_slow_curve skips
@@ -56,9 +56,6 @@ _MAX_NODES = 400_000
 # 0.8 kB per cell and segment, since the fused exponential stack holds all
 # K segments at once (1.7 and 2.4 kB per cell over 2 and 3 segments)
 _BLOCK_CELLS = 1024
-# a 3x3 Perron root x of the shifted cubic p is nearly double, and goes to
-# eigvals, where p'(x) < _FLAT_ROOT ||N||_1^2
-_FLAT_ROOT = 1e-3
 
 
 class DynamicsError(Exception):
@@ -250,63 +247,6 @@ def _scaled_product(widths: np.ndarray, T: np.ndarray,
     return logscale, M, broken
 
 
-def _perron_root(M: np.ndarray) -> np.ndarray:
-    """Perron root of each nonnegative matrix of a stack (N, n, n): for
-    [[p, r], [r2, q]] the sum of nonnegative terms (p + q)/2 +
-    sqrt(((p - q)/2)^2 + r r2), for n = 3 ``_perron_root3``, else the top
-    eigenvalue of one eigvals."""
-    if M.shape[-1] == 2:
-        p, r, r2, q = M[:, 0, 0], M[:, 0, 1], M[:, 1, 0], M[:, 1, 1]
-        return 0.5 * (p + q) + np.hypot(0.5 * (p - q), np.sqrt(r * r2))
-    if M.shape[-1] == 3:
-        return _perron_root3(M)
-    return np.linalg.eigvals(M).real.max(axis=1)
-
-
-def _perron_root3(M: np.ndarray) -> np.ndarray:
-    """Perron root of each nonnegative 3x3 matrix of a stack, t + x with
-    t = tr(M)/3 and x the largest real root of the characteristic cubic
-    p(x) = x^3 + q x - det N of the traceless N = M - t I.
-
-    The root is real and x >= 0 (the eigenvalues of N sum to 0 and none
-    has a larger real part), so it is the top root of the trigonometric
-    solution where p has three real roots and the one real root of the
-    hyperbolic (or, for q = 0, cube-root) solution where it has one; one
-    Newton step polishes it.  The shift keeps the digits of N, whose
-    eigenvalues are O(T) apart as T -> 0 while those of M all tend to 1.
-    Where p'(x) < _FLAT_ROOT ||N||_1^2 the root is nearly double and ill
-    conditioned in the coefficients of p; those cells take the top
-    eigenvalue of one eigvals.  A scalar M (N = 0) has the root t.
-    """
-    t = np.trace(M, axis1=1, axis2=2) / 3.0
-    N = M - t[:, None, None] * np.eye(3)
-    a, m01, m02, m10, b, m12, m20, m21, c = N.reshape(len(N), 9).T
-    bc = b * c - m12 * m21
-    q = a * b - m01 * m10 + a * c - m02 * m20 + bc
-    det = a * bc - m01 * (m10 * c - m12 * m20) + m02 * (m10 * m21 - b * m20)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        # x = 2 s y with 4 y^3 - 3 y = z for q < 0 and 4 y^3 + 3 y = z for
-        # q > 0; z is not finite where s = 0
-        s = np.sqrt(np.abs(q) / 3.0)
-        z = det / (2.0 * s ** 3)
-        y = np.where(q < 0.0,
-                     np.where(z <= 1.0,
-                              np.cos(np.arccos(np.maximum(z, -1.0)) / 3.0),
-                              np.cosh(np.arccosh(z) / 3.0)),
-                     np.sinh(np.arcsinh(z) / 3.0))
-    x = np.where(np.isfinite(z), 2.0 * s * y, np.cbrt(det))
-    x2 = x * x
-    dp = 3.0 * x2 + q
-    x -= np.divide((x2 + q) * x - det, dp, out=np.zeros_like(x),
-                   where=dp != 0.0)
-    norm = np.abs(N).sum(axis=1).max(axis=1)
-    flat = ~(3.0 * x * x + q >= _FLAT_ROOT * norm * norm)
-    root = t + x
-    if flat.any():
-        root[flat] = np.linalg.eigvals(M[flat]).real.max(axis=1)
-    return root
-
-
 def _kernel_segments(model: PatchModel, m: np.ndarray,
                      rotate: bool = True) -> tuple[np.ndarray, np.ndarray]:
     """(widths, A) of ``merged_segments`` with each run of consecutive
@@ -348,7 +288,7 @@ def _growth_rates_block(model: PatchModel, m: np.ndarray,
     """``growth_rates`` on flat m and T."""
     widths, mats = _kernel_segments(model, m)
     logscale, M, broken = _scaled_product(widths, T, mats)
-    root = _perron_root(M)
+    root = perron_root(M)
     # the model's monodromy is positive, so a root <= 0 has underflowed
     broken |= root <= 0.0
     status = np.full(len(m), "ok", dtype=object)
@@ -368,7 +308,7 @@ def growth_rates(model: PatchModel, m, T) -> tuple[np.ndarray, np.ndarray]:
     down or its root underflows to 0; Lambda is NaN where not "ok".  Cells
     go in blocks of _BLOCK_CELLS.  Per block the segment matrices
     A_k = R_k + m L_k of all cells are formed at once, one
-    ``_scaled_product`` forms every cell's Phi(T) and one ``_perron_root``
+    ``_scaled_product`` forms every cell's Phi(T) and one ``perron_root``
     its root: closed forms on the entry arrays for two patches, so small
     entries keep their relative accuracy, and for more one stacked Pade-13,
     one ``scaled_product`` and, for three, the shifted cubic's root.  A
@@ -585,10 +525,10 @@ def verify_slow_curve(model: PatchModel,
                             "irreducible model")
     segments, _ = _theta_star_segments(model, params)
     jumps = [taus[0] for taus, _, _ in segments]
+    vectors = perron_vector(np.array([A for _, _, A in segments]))
     sup = 0.0
     compared = 0
-    for taus, thetas, A in segments:
-        _, v = perron_frobenius_metzler(A)
+    for (taus, thetas, _), v in zip(segments, vectors):
         mask = np.ones(len(taus), dtype=bool)
         for b in jumps + [1.0]:
             mask &= ~((taus >= b - 1e-12) & (taus < b + SLOW_CURVE_LAYER))

@@ -17,11 +17,13 @@ Contents:
 * ``scaled_product`` — the ordered product of a stack of factors e^l E,
   pairwise and rescaled to unit max entry with the logs kept apart: every
   scaled Phi(T) of the growth rate and every batch of simulator dwells.
-* ``perron_positive`` — dominant eigenpair of an entrywise-positive matrix by
-  power iteration, with a dense-eigensolver fallback.
-* ``perron_frobenius_metzler`` — spectral abscissa and nonnegative right
-  eigenvector of a Metzler matrix, from one dense eigensolve.
-* ``spectral_abscissa`` — max real part of the spectrum, any square matrix.
+* ``perron_root`` — the Perron root of each Metzler matrix of a stack, in
+  closed form for n = 2 and 3, else by one stacked ``eigvals``: the root of
+  the growth-rate kernel, of every limit and of the switched model.
+* ``perron_vector`` — the unit-sum nonnegative Perron vector of each
+  Metzler matrix of a stack, by one stacked ``eig``: the slow curve.
+* ``perron_positive`` — dominant eigenpair of a positive matrix by power
+  iteration, finished by the two above where it stalls.
 * ``kernel_vector`` — the positive kernel direction of an irreducible
   zero-column-sum Metzler matrix, from the cofactor formula.
 * ``reachability`` — Boolean closure of the graph of off-diagonal entries
@@ -53,6 +55,9 @@ _THETA13 = 5.371920351148152
 # stays above F_jj^15 F_ij: from the Pade result at unit max entry, whose
 # diagonal is above e^{-2 theta_13}, above e^{-30 theta_13}, about 1e-70
 _RESCALE_EVERY = 4
+# a 3x3 Perron root x of the shifted cubic p is nearly double, and goes to
+# eigvals, where p'(x) < _FLAT_ROOT ||N||_1^2
+_FLAT_ROOT = 1e-3
 
 
 def expm_stack_scaled(A: np.ndarray) -> tuple[np.ndarray, np.ndarray,
@@ -190,20 +195,80 @@ def is_irreducible(A: np.ndarray) -> bool:
     return bool(reachability(A).all())
 
 
-def _dense_dominant(A: np.ndarray) -> tuple[float, np.ndarray]:
-    w, V = np.linalg.eig(A)
-    k = int(np.argmax(w.real))
-    v = V[:, k].real
-    v = np.abs(v)
-    return float(w[k].real), v / v.sum()
+def perron_root(M: np.ndarray) -> np.ndarray:
+    """Perron root of each Metzler matrix of a stack (N, n, n), its real
+    eigenvalue of largest real part: (p + q)/2 + sqrt(((p - q)/2)^2 + r r2)
+    for [[p, r], [r2, q]], ``_perron_root3`` for n = 3, else one eigvals."""
+    if M.shape[-1] == 2:
+        p, r, r2, q = M[:, 0, 0], M[:, 0, 1], M[:, 1, 0], M[:, 1, 1]
+        return 0.5 * (p + q) + np.hypot(0.5 * (p - q), np.sqrt(r * r2))
+    if M.shape[-1] == 3:
+        return _perron_root3(M)
+    return np.linalg.eigvals(M).real.max(axis=1)
+
+
+def _perron_root3(M: np.ndarray) -> np.ndarray:
+    """Perron root of each Metzler 3x3 matrix of a stack, t + x with
+    t = tr(M)/3 and x the largest real root of the characteristic cubic
+    p(x) = x^3 + q x - det N of the traceless N = M - t I.
+
+    The root is real and x >= 0 (the eigenvalues of N sum to 0 and none
+    has a larger real part), so it is the top root of the trigonometric
+    solution where p has three real roots and the one real root of the
+    hyperbolic (or, for q = 0, cube-root) solution where it has one; one
+    Newton step polishes it.  The shift keeps the digits of N, whose
+    eigenvalues are O(T) apart as T -> 0 while those of a monodromy
+    matrix all tend to 1.  Where p'(x) < _FLAT_ROOT ||N||_1^2 the root is
+    nearly double and ill conditioned in the coefficients of p; those
+    matrices take the top eigenvalue of one eigvals.  A scalar M (N = 0)
+    has the root t.
+    """
+    t = np.trace(M, axis1=1, axis2=2) / 3.0
+    N = M - t[:, None, None] * np.eye(3)
+    a, m01, m02, m10, b, m12, m20, m21, c = N.reshape(len(N), 9).T
+    bc = b * c - m12 * m21
+    q = a * b - m01 * m10 + a * c - m02 * m20 + bc
+    det = a * bc - m01 * (m10 * c - m12 * m20) + m02 * (m10 * m21 - b * m20)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # x = 2 s y with 4 y^3 - 3 y = z for q < 0 and 4 y^3 + 3 y = z for
+        # q > 0; z is not finite where s = 0, and 2 s y is then 0 inf
+        s = np.sqrt(np.abs(q) / 3.0)
+        z = det / (2.0 * s ** 3)
+        y = np.where(q < 0.0,
+                     np.where(z <= 1.0,
+                              np.cos(np.arccos(np.maximum(z, -1.0)) / 3.0),
+                              np.cosh(np.arccosh(z) / 3.0)),
+                     np.sinh(np.arcsinh(z) / 3.0))
+        x = np.where(np.isfinite(z), 2.0 * s * y, np.cbrt(det))
+    x2 = x * x
+    dp = 3.0 * x2 + q
+    x -= np.divide((x2 + q) * x - det, dp, out=np.zeros_like(x),
+                   where=dp != 0.0)
+    norm = np.abs(N).sum(axis=1).max(axis=1)
+    flat = ~(3.0 * x * x + q >= _FLAT_ROOT * norm * norm)
+    root = t + x
+    if flat.any():
+        root[flat] = np.linalg.eigvals(M[flat]).real.max(axis=1)
+    return root
+
+
+def perron_vector(M: np.ndarray) -> np.ndarray:
+    """Unit-sum nonnegative Perron vector of each Metzler matrix of a stack
+    (N, n, n): the eigenvector of the eigenvalue of largest real part, from
+    one stacked eig, in absolute value.  It is positive where M is
+    irreducible."""
+    w, V = np.linalg.eig(M)
+    k = np.argmax(w.real, axis=1)
+    v = np.abs(V[np.arange(len(M)), :, k].real)
+    return v / v.sum(axis=1, keepdims=True)
 
 
 def perron_positive(A: np.ndarray) -> tuple[float, np.ndarray]:
     """Dominant eigenvalue and unit-sum positive eigenvector of A > 0.
 
-    Power iteration to POWER_TOL; falls back to a dense eigensolve if
-    convergence stalls (near-degenerate dominant pair) or POWER_MAXITER
-    iterations run out.
+    Power iteration to POWER_TOL; ``perron_root`` and ``perron_vector``
+    finish the job if convergence stalls (near-degenerate dominant pair) or
+    POWER_MAXITER iterations run out.
     """
     A = np.asarray(A, dtype=float)
     n = A.shape[0]
@@ -214,7 +279,7 @@ def perron_positive(A: np.ndarray) -> tuple[float, np.ndarray]:
         w = A @ v
         lam = w.sum()
         if lam <= 0.0:
-            return _dense_dominant(A)
+            break
         w /= lam
         res = np.abs(w - v).max()
         v = w
@@ -223,23 +288,9 @@ def perron_positive(A: np.ndarray) -> tuple[float, np.ndarray]:
         if res < POWER_TOL and (res == 0.0 or res >= prev_res):
             return float(lam), v
         if it == _POWER_STALL and res > np.sqrt(POWER_TOL):
-            return _dense_dominant(A)
+            break
         prev_res = res
-    return _dense_dominant(A)
-
-
-def perron_frobenius_metzler(A: np.ndarray) -> tuple[float, np.ndarray]:
-    """Spectral abscissa and unit-sum nonnegative eigenvector of a Metzler A.
-
-    The abscissa is the dominant eigenvalue of one dense eigensolve; for an
-    irreducible A it is simple and its eigenvector is positive.
-    """
-    return _dense_dominant(np.asarray(A, dtype=float))
-
-
-def spectral_abscissa(A: np.ndarray) -> float:
-    """max Re(eig(A)) for an arbitrary square matrix."""
-    return float(np.linalg.eigvals(np.asarray(A, dtype=float)).real.max())
+    return float(perron_root(A[None])[0]), perron_vector(A[None])[0]
 
 
 def kernel_vector(L: np.ndarray) -> np.ndarray:

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .spectral import (expm_stack_scaled, is_irreducible, kernel_vector,
-                       scaled_product, spectral_abscissa)
+                       perron_root, scaled_product)
 
 GENERATOR_ROW_TOL = 1e-12
 MIN_JUMPS = 100
@@ -203,7 +203,8 @@ def simulate_lyapunov(env: MarkovEnvironment, m: float, T: float,
 
     One trajectory of length ``horizon``; the estimate is the accumulated
     log-growth over the horizon, with a standard error from the means of
-    BATCHES batches of equal time.  Raises
+    BATCHES batches of equal time.  At m = 0 and for a single state the
+    exponent is returned exactly, with no simulation.  Raises
     ValueError unless m is finite and >= 0 and T and the horizon are finite
     and > 0, and when the expected jump count, horizon * max_s(-Q_ss) / T,
     exceeds MAX_EXPECTED_JUMPS.
@@ -221,11 +222,14 @@ def simulate_lyapunov(env: MarkovEnvironment, m: float, T: float,
                          f"{MAX_EXPECTED_JUMPS:.0e}; shorten the horizon "
                          f"or raise T")
     n = env.n_patches
-    if env.n_states == 1:
-        # no switching: the exponent is exactly the spectral abscissa
-        return LyapunovEstimate(lambda_hat=spectral_abscissa(env.matrix(0, m)),
-                                stderr=1e-15, horizon=horizon,
-                                renormalizations=0, seed=seed)
+    if m == 0.0 or env.n_states == 1:
+        # exact: without migration the diagonal flows commute, giving the
+        # best stationary-mean patch rate; without switching, the Perron root
+        exact = ((stationary_distribution(env) @ np.array(env.rates)).max()
+                 if m == 0.0 else perron_root(env.matrix(0, m)[None])[0])
+        return LyapunovEstimate(lambda_hat=float(exact), stderr=1e-15,
+                                horizon=horizon, renormalizations=0,
+                                seed=seed)
     mu = stationary_distribution(env)
     rng = np.random.default_rng(seed)
     random, exponential = rng.random, rng.exponential
@@ -279,17 +283,19 @@ def simulate_lyapunov(env: MarkovEnvironment, m: float, T: float,
 def stochastic_limits(env: MarkovEnvironment, m: float) -> dict:
     """Analytic limit values of the switched-system exponent.
 
-    T0:   spectral abscissa of the stationary-averaged matrix (fast switching)
-    Tinf: stationary average of per-state spectral abscissas (slow switching)
+    T0:   Perron root of the stationary-averaged matrix (fast switching)
+    Tinf: stationary average of the per-state Perron roots (slow switching);
+          at m = 0 the m -> 0+ limit chi, as for ``limit_Tinf``
     chi:  stationary average of the pointwise best rate, an upper bound
     corners: slow/fast-migration values m -> 0 and m -> infinity
     """
     mu = stationary_distribution(env)
-    Abar = sum(float(w) * env.matrix(s, m) for s, w in enumerate(mu))
+    mats = [env.matrix(s, m) for s in range(env.n_states)]
+    Abar = sum(float(w) * A for w, A in zip(mu, mats))
     rbar = sum(float(w) * env.rates[s] for s, w in enumerate(mu))
     Lbar = sum(float(w) * env.migrations[s] for s, w in enumerate(mu))
-    tinf = float(sum(w * spectral_abscissa(env.matrix(s, m))
-                     for s, w in enumerate(mu)))
+    *roots, t0 = perron_root(np.array(mats + [Abar])).tolist()
+    tinf = float(sum(w * r for w, r in zip(mu, roots)))
     chi = float(sum(w * env.rates[s].max() for s, w in enumerate(mu)))
     corners = {"lambda_0T": float(rbar.max()), "sup": chi}
     if is_irreducible(Lbar):
@@ -298,5 +304,4 @@ def stochastic_limits(env: MarkovEnvironment, m: float) -> dict:
         corners["lambda_infT"] = float(sum(
             w * (kernel_vector(env.migrations[s]) @ env.rates[s])
             for s, w in enumerate(mu)))
-    return {"T0": spectral_abscissa(Abar), "Tinf": tinf, "chi": chi,
-            "corners": corners}
+    return {"T0": t0, "Tinf": tinf, "chi": chi, "corners": corners}

@@ -11,7 +11,7 @@ import warnings
 import numpy as np
 import pytest
 
-from digrowth import cli, dynamics, explorer, model as M, stochastic
+from digrowth import cli, dynamics, explorer, model as M, spectral, stochastic
 
 
 def run(capsys, *argv):
@@ -283,6 +283,42 @@ def test_reproduce_slow_curve(capsys, tmp_path):
     data = np.loadtxt(csv_path, delimiter=",", skiprows=1)
     # simplex rows and a bounded gap to the slow curve away from layers
     assert np.abs(data[:, 1:4].sum(axis=1) - 1.0).max() <= 1e-9
+    mdl, params = M.builtin("three_patch_circular"), M.ModelParameters(1.0, 20.0)
+    _assert_slow_curve_rows(rows, mdl, params)
+    report = dynamics.verify_slow_curve(mdl, params)
+    tau = data[:, 0]
+    away = np.ones(len(tau), dtype=bool)
+    for b in list(mdl.segments.breaks) + [1.0]:
+        away &= ~((tau >= b - 1e-9)
+                  & (tau < b + dynamics.SLOW_CURVE_LAYER + 1e-9))
+    gap = np.abs(data[away, 1:4] - data[away, 4:7]).max()
+    assert gap <= report.sup_deviation + 1e-13
+    assert report.sup_deviation <= 0.05
+
+
+def test_slow_curve_rows_at_breaks_take_their_own_segment(tmp_path):
+    # t / T rounds below the break at tau = 1/3 and 2/3, and a schedule
+    # look-up there paired theta*(b_k) with the previous segment's vector
+    mdl, params = M.builtin("abc_two_patch"), M.ModelParameters(0.7, 50.0)
+    cli._repro_slow_curve("t", "abc_two_patch", 0.7, 50.0)(str(tmp_path), 64)
+    rows = (tmp_path / "t_slow_curve.csv").read_text().strip().splitlines()
+    _assert_slow_curve_rows(rows, mdl, params)
+
+
+def _assert_slow_curve_rows(rows, mdl, params):
+    """The theta columns of a slow-curve CSV are theta* from
+    ``periodic_simplex_solution``, and the v columns are the Perron vector
+    of the segment whose sub-step grid holds the row's node."""
+    traj = dynamics.periodic_simplex_solution(mdl, params)
+    _, _, mats, counts, _ = dynamics._segment_grid(mdl, params)
+    vectors = spectral.perron_vector(mats)
+    own = np.append(np.repeat(np.arange(len(counts)), counts), len(counts) - 1)
+    assert len(rows) - 1 == len(traj.states) == len(own)
+    n = mdl.n
+    for row, theta, k in zip(rows[1:], traj.states.tolist(), own.tolist()):
+        fields = row.split(",")
+        assert fields[1:1 + n] == [cli._fmt(x) for x in theta]
+        assert fields[1 + n:] == [cli._fmt(x) for x in vectors[k].tolist()]
 
 
 def test_lambda_overflowing_period_is_a_numerical_error(capsys):

@@ -7,6 +7,7 @@ import mpmath as mp
 import numpy as np
 
 from digrowth import dynamics as D
+from digrowth.spectral import perron_root
 
 PER_CLASS = 100
 
@@ -73,7 +74,7 @@ def test_perron_root_matches_eigvals():
     P[0::4, 0, 1] = 0.0
     P[1::4, 1, 0] = 0.0
     P[2::4, 1, 1] = P[2::4, 0, 0]
-    root = D._perron_root(P)
+    root = perron_root(P)
     want = np.linalg.eigvals(P).real.max(axis=1)
     assert np.all(np.abs(root - want) <= 1e-14 * P.max(axis=(1, 2)))
     for i in range(0, len(P), 7):

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from digrowth import dynamics as D, model as M
 from digrowth.model import ModelParameters, ValidationStatus
+from digrowth.spectral import perron_root
 
 IRREDUCIBLE = [name for name in M.catalog()
                if M.builtin(name).validation
@@ -204,7 +205,7 @@ def test_nearly_double_perron_root_takes_eigvals(monkeypatch):
         return eigvals(M)
 
     monkeypatch.setattr(np.linalg, "eigvals", spy)
-    root = D._perron_root(np.array([apart, near, np.eye(3)]))
+    root = perron_root(np.array([apart, near, np.eye(3)]))
     assert len(calls) == 1 and np.array_equal(calls[0], near[None])
     for P, got in zip((apart, near), root):
         with mp.workdps(40):

@@ -144,7 +144,7 @@ def _both_paths(mdl, m, T):
         warnings.simplefilter("error")
         lam, status = D.growth_rates(mdl, m, T)
     with mock.patch.multiple(D, _expm2_scaled=_pade_exponentials,
-                             _perron_root=_eigvals_root):
+                             perron_root=_eigvals_root):
         want, want_status = D.growth_rates(mdl, m, T)
     assert np.array_equal(status, want_status)
     ok = status == "ok"

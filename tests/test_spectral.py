@@ -1,12 +1,14 @@
 """Spectral primitives against dense linear-algebra references."""
 
 import itertools
+import warnings
 
 import numpy as np
 import pytest
 import scipy.linalg
 from scipy.sparse.csgraph import connected_components
 
+from digrowth import model as M
 from digrowth import spectral as S
 
 
@@ -111,20 +113,29 @@ def test_perron_positive_small_gap_falls_back():
     assert lam == pytest.approx(1.0 + 1e-8, rel=1e-10)
 
 
+def test_perron_root_of_a_one_way_cycle_does_not_warn():
+    # fainshil's averaged matrix is a one-way 3-cycle with equal diagonal:
+    # the centred matrix has q = 0 and det != 0, the root comes from
+    # cbrt(det), and every patch's mean rate, -0.5, is the root
+    mdl = M.builtin("fainshil")
+    for m in (1e-6, 1e-2, 0.3, 1.0, 10.0, 100.0):
+        A = mdl.growth.average() + m * mdl.migration.average()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            root = S.perron_root(A[None])[0]
+        assert abs(root + 0.5) <= 4.0 * np.finfo(float).eps * np.abs(A).sum(
+            axis=0).max()
+
+
 def test_perron_frobenius_metzler(rng):
     for _ in range(25):
         n = int(rng.integers(2, 6))
         A = rng.uniform(0.1, 2.0, size=(n, n))
         np.fill_diagonal(A, rng.uniform(-5.0, 1.0, size=n))
-        lam, v = S.perron_frobenius_metzler(A)
+        lam, v = S.perron_root(A[None])[0], S.perron_vector(A[None])[0]
         assert lam == pytest.approx(np.linalg.eigvals(A).real.max(), abs=1e-10)
         assert np.all(v > 0.0)
         assert np.allclose(A @ v, lam * v, atol=1e-8)
-
-
-def test_spectral_abscissa_plain():
-    A = np.array([[0.0, -2.0], [1.0, -3.0]])
-    assert S.spectral_abscissa(A) == pytest.approx(-1.0, abs=1e-12)
 
 
 def test_kernel_vector_known():

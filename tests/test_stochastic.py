@@ -10,7 +10,7 @@ import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from digrowth import stochastic as S
-from digrowth.spectral import spectral_abscissa
+from digrowth.spectral import perron_root
 
 L_SYM = [[-1.0, 1.0], [1.0, -1.0]]
 
@@ -58,7 +58,7 @@ def test_environment_validation():
 def test_single_state_collapse():
     env = S.environment([([0.5, -1.5], [[-1.0, 2.0], [1.0, -2.0]])], [[0.0]])
     m = 1.3
-    exact = spectral_abscissa(env.matrix(0, m))
+    exact = perron_root(env.matrix(0, m)[None])[0]
     est = S.simulate_lyapunov(env, m, 1.0, 100.0, seed=5)
     assert est.lambda_hat == exact
     lims = S.stochastic_limits(env, m)
@@ -185,6 +185,21 @@ def test_working_memory_is_bounded_by_the_chunk():
 def test_zero_migration_is_allowed():
     est = S.simulate_lyapunov(pm1_twin(), 0.0, 1.0, 300.0, seed=1)
     assert np.isfinite(est.lambda_hat)
+
+
+def test_zero_migration_exponent_is_the_best_mean_rate():
+    # without migration the flows are diagonal and commute, so the exponent
+    # is max_i sum_s mu_s r_i(s) = -0.5 at every T.  A simulated path with
+    # long dwells lets the disfavoured patch underflow to 0 and then loses
+    # the other one too
+    env = pm1_twin()
+    for T, horizon in ((1.0, 300.0), (100.0, 3e4), (1e5, 3e7)):
+        est = S.simulate_lyapunov(env, 0.0, T, horizon, seed=4)
+        assert est.lambda_hat == -0.5
+    lims = S.stochastic_limits(env, 0.0)
+    assert lims["corners"]["lambda_0T"] == -0.5
+    # the slow limit at m = 0 is the m -> 0+ one, chi
+    assert lims["Tinf"] == lims["chi"] == 0.5
 
 
 class _DwellFlow:
