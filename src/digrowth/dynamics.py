@@ -38,8 +38,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import ModelParameters, PatchModel, ValidationStatus
-from .spectral import (expm_stack_scaled, kernel_vector, perron_positive,
-                       perron_root, perron_vector, scaled_product)
+from .spectral import (expm2_scaled, expm_stack_scaled, kernel_vector,
+                       perron_positive, perron_root, perron_vector,
+                       scaled_product)
 
 # RK4 steps and theta* grid nodes per unit of tau; the oracle's periods; the
 # tau width of the layer after each breakpoint that verify_slow_curve skips
@@ -164,53 +165,13 @@ _STATUS_ERRORS = {
 }
 
 
-def _expm2_scaled(B: np.ndarray) -> tuple[tuple[np.ndarray, ...], np.ndarray,
-                                          np.ndarray]:
-    """``expm_stack_scaled`` in closed form for 2x2 Metzler matrices B
-    (..., 2, 2): (E, l, broken) with e^B = e^l E, where E is the tuple of
-    entry arrays (E00, E01, E10, E11), every entry >= 0, and nothing is
-    squared.
-
-    For B = [[a, b], [c, d]] with b, c >= 0, t = (a + d)/2,
-    delta = (a - d)/2 and s = sqrt(delta^2 + bc) is real, and
-    e^B = e^{t+s} [(1 + e^{-2s})/2 I + f (B - t I)] with
-    f = -expm1(-2s)/(2s), f = 1 at s = 0 (Bernstein & So, IEEE Trans.
-    Autom. Control 38(8), 1993).  The smaller diagonal entry is
-    (bc/(s + |delta|) + (s + |delta|) e^{-2s})/(2s), which keeps its digits
-    where the direct difference cancels (bc tiny or 0).  A cell is broken
-    where twice its 1-norm is not finite: that bounds 2s, s + |delta| and
-    the entries of a product of these factors, so none of them overflows.
-    """
-    with np.errstate(over="ignore"):  # an infinite norm marks the cell
-        nrm = 2.0 * np.abs(B).sum(axis=-2).max(axis=-1)
-    broken = ~np.isfinite(nrm)
-    B = np.where(broken[..., None, None], 0.0, B)
-    a, b, c, d = B[..., 0, 0], B[..., 0, 1], B[..., 1, 0], B[..., 1, 1]
-    delta = 0.5 * (a - d)
-    g = np.sqrt(b) * np.sqrt(c)  # sqrt(bc), which does not overflow
-    s = np.hypot(delta, g)
-    distinct = s > 0.0
-    s1 = np.where(distinct, s, 1.0)
-    minus_2s = -2.0 * s
-    decay = np.exp(minus_2s)
-    f = np.where(distinct, np.expm1(minus_2s) / (-2.0 * s1), 1.0)
-    spread = np.abs(delta)
-    u = s1 + spread
-    big = 0.5 + 0.5 * decay + f * spread
-    small = np.where(distinct, (g * (g / u) + u * decay) / (2.0 * s1), 1.0)
-    first = delta >= 0.0
-    E = (np.where(first, big, small), f * b, f * c,
-         np.where(first, small, big))
-    return E, 0.5 * (a + d) + s, broken
-
-
 def _scaled_product(widths: np.ndarray, T: np.ndarray,
                     mats: np.ndarray) -> tuple[np.ndarray, np.ndarray,
                                                np.ndarray]:
     """(logscale, M, broken) per cell: Phi(T) = e^logscale M with M the
     ordered product of the scaled segment exponentials, of unit max entry,
     and ``broken`` marking cells whose scaling broke down.  Two patches
-    take one ``_expm2_scaled`` call and multiply in order on the entry
+    take one ``expm2_scaled`` call and multiply in order on the entry
     arrays of all cells, every entry a sum of nonnegative terms (M = 0 where
     broken).  More take one ``expm_stack_scaled`` call on the (K * cells,
     n, n) stack and one ``scaled_product`` (M = I where broken), and entries
@@ -219,7 +180,7 @@ def _scaled_product(widths: np.ndarray, T: np.ndarray,
     with np.errstate(over="ignore"):  # an infinite norm marks the cell
         B = (widths[:, None] * T)[:, :, None, None] * mats
     if n == 2:
-        (e00, e01, e10, e11), l, bad = _expm2_scaled(B)
+        (e00, e01, e10, e11), l, bad = expm2_scaled(B)
         broken = bad.any(axis=0)
         logscale = l.sum(axis=0)
         P = np.array((e00[0], e01[0], e10[0], e11[0]))  # rows p, r, r2, q

@@ -10,10 +10,14 @@ Contents:
   then squarings rescaled to unit max entry every fourth step and once at
   the end, each matrix with its own squaring count from its 1-norm, so a
   matrix's exponential does not depend on the rest of the stack.  It is
-  the only scaling-and-squaring loop and the only matrix exponential of
-  the package: the growth rate of three or more patches exponentiates every
-  segment of every cell in one call, theta* every sub-step, and the
-  switched simulator every dwell of a chunk.
+  the only scaling-and-squaring loop of the package: the growth rate of
+  three or more patches exponentiates every segment of every cell in one
+  call, theta* every sub-step, and the switched simulator of three or more
+  patches every dwell of a chunk.
+* ``expm2_scaled`` — the same e^A = e^l E for 2x2 Metzler matrices in
+  closed form, with no Padé step and no squaring, as four entry arrays:
+  every segment of the two-patch growth rate and every dwell of the
+  two-patch switched simulator.
 * ``scaled_product`` — the ordered product of a stack of factors e^l E,
   pairwise and rescaled to unit max entry with the logs kept apart: every
   scaled Phi(T) of the growth rate and every batch of simulator dwells.
@@ -153,6 +157,50 @@ def _solve3(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     X = adj @ B
     X /= det[:, None, None]
     return X
+
+
+def expm2_scaled(B: np.ndarray) -> tuple[tuple[np.ndarray, ...], np.ndarray,
+                                         np.ndarray]:
+    """``expm_stack_scaled`` in closed form for 2x2 Metzler matrices B
+    (..., 2, 2): (E, l, broken) with e^B = e^l E, where E is the tuple of
+    entry arrays (E00, E01, E10, E11), every entry >= 0, and nothing is
+    squared.
+
+    For B = [[a, b], [c, d]] with b, c >= 0, t = (a + d)/2,
+    delta = (a - d)/2 and s = sqrt(delta^2 + bc) is real, and
+    e^B = e^{t+s} [(1 + e^{-2s})/2 I + f (B - t I)] with
+    f = -expm1(-2s)/(2s), f = 1 at s = 0 (Bernstein & So, IEEE Trans.
+    Autom. Control 38(8), 1993).  The smaller diagonal entry is
+    (bc/(s + |delta|) + (s + |delta|) e^{-2s})/(2s), which keeps its digits
+    where the direct difference cancels (bc tiny or 0).  A cell is broken
+    where twice its 1-norm, max(|a| + |c|, |b| + |d|), is not finite: that
+    bounds 2s, s + |delta| and the entries of a product of these factors,
+    so none of them overflows.
+    """
+    A = np.abs(B)
+    with np.errstate(over="ignore"):  # an infinite norm marks the cell
+        nrm = 2.0 * np.maximum(A[..., 0, 0] + A[..., 1, 0],
+                               A[..., 0, 1] + A[..., 1, 1])
+    broken = ~np.isfinite(nrm)
+    if broken.any():
+        B = np.where(broken[..., None, None], 0.0, B)
+    a, b, c, d = B[..., 0, 0], B[..., 0, 1], B[..., 1, 0], B[..., 1, 1]
+    delta = 0.5 * (a - d)
+    g = np.sqrt(b) * np.sqrt(c)  # sqrt(bc), which does not overflow
+    s = np.hypot(delta, g)
+    distinct = s > 0.0
+    s1 = np.where(distinct, s, 1.0)
+    minus_2s = -2.0 * s
+    decay = np.exp(minus_2s)
+    f = np.where(distinct, np.expm1(minus_2s) / (-2.0 * s1), 1.0)
+    spread = np.abs(delta)
+    u = s1 + spread
+    big = 0.5 + 0.5 * decay + f * spread
+    small = np.where(distinct, (g * (g / u) + u * decay) / (2.0 * s1), 1.0)
+    first = delta >= 0.0
+    E = (np.where(first, big, small), f * b, f * c,
+         np.where(first, small, big))
+    return E, 0.5 * (a + d) + s, broken
 
 
 def scaled_product(E: np.ndarray, l: np.ndarray) -> tuple[np.ndarray, ...]:

@@ -16,9 +16,13 @@ as ``bisect_right(cdf, rng.random())``: the uniform and the right-sided
 search that ``choice`` itself makes, so a seed gives the path ``choice``
 would give without rebuilding and re-checking the law at every jump.  The
 chain's path does not depend on the population, so it is drawn a chunk of
-dwells at a time and the chunk's flows are formed in one
-``spectral.expm_stack_scaled`` pass, each as e^l E with E of unit max entry,
-so long dwells and defective matrices need no special path.  The runs of
+dwells at a time: the draw loop keeps only each dwell's state and length,
+and the dwells' start times, their batches and the batch times follow after
+the chunk from a cumulative sum, which adds in the loop's order.  The
+chunk's flows are formed in one pass, each as e^l E: for two patches by
+the closed form ``spectral.expm2_scaled``, with no Padé step or squaring,
+and for more by ``spectral.expm_stack_scaled``, E of unit max entry, so
+long dwells and defective matrices need no special path.  The runs of
 flows of the chunk's batches, padded with identities to the longest run,
 are multiplied in one ``spectral.scaled_product`` call, pairwise and
 rescaled with their logs kept apart, and the population vector takes one
@@ -34,8 +38,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import (expm_stack_scaled, is_irreducible, kernel_vector,
-                       perron_root, scaled_product)
+from .spectral import (expm2_scaled, expm_stack_scaled, is_irreducible,
+                       kernel_vector, perron_root, scaled_product)
 
 GENERATOR_ROW_TOL = 1e-12
 MIN_JUMPS = 100
@@ -43,14 +47,15 @@ MIN_JUMPS = 100
 BATCHES = 20
 DEFAULT_SEED = 20260826
 # cap on the expected jumps of one simulate_lyapunov call, horizon times the
-# largest exit rate over T: 7 to 13 min at 4 to 8 us per jump (2-core host,
-# one BLAS thread), and far below the 2^53 mean dwells past which t += dt
-# stops advancing the clock
+# largest exit rate over T: 3 to 8 min at 1.7 to 4.7 us per jump (medians
+# of eight calls of 1e4 jumps, T from 0.01 to 100, in four runs on a shared
+# 2-core host, one BLAS thread), and far below the 2^53 mean dwells past
+# which t += dt stops advancing the clock
 MAX_EXPECTED_JUMPS = 1e8
 # dwells per chunk of simulate_lyapunov: the path is drawn and its flows
 # formed a chunk at a time, which bounds a call's working memory whatever
 # the horizon.  Peak by tracemalloc, from 1e3 to 2e4 jumps and T from 0.01
-# to 100: 0.41-0.43 MB for two patches and 0.81-0.83 MB for three
+# to 100: 0.28-0.34 MB for two patches and 0.73 MB for three
 _CHUNK_DWELLS = 1024
 
 
@@ -157,27 +162,31 @@ def _cdf(p: np.ndarray) -> list[float]:
     return cdf.tolist()
 
 
-def _carry(mats: np.ndarray, states: list[int], dts: list[float],
-           owners: list[int], x: np.ndarray,
+def _carry(mats: np.ndarray, states: list[int], dts: np.ndarray,
+           owners: np.ndarray, x: np.ndarray,
            batch_logs: np.ndarray) -> np.ndarray:
     """The unit-sum x at the end of a chunk of dwells, from the unit-sum x
     at its start: dwell i sits in state ``states[i]`` for ``dts[i]`` and
     belongs to batch ``owners[i]`` (nondecreasing).  Each batch's
     log-growth over the chunk is added to ``batch_logs``.
 
-    One ``expm_stack_scaled`` call gives every e^{A_s dt} = e^l E of the
-    chunk.  Each batch's run of factors is padded with identities to the
-    longest run, and one ``scaled_product`` call multiplies all runs, later
-    factor on the left.  x then takes one matvec per batch.  The padded
-    stack holds (batches in the chunk) x (longest run) factors.
+    One call gives every e^{A_s dt} = e^l E of the chunk: for two patches
+    ``expm2_scaled``, in closed form, and for more ``expm_stack_scaled``.
+    Each batch's run of factors is padded with identities to the longest
+    run, and one ``scaled_product`` call multiplies all runs, later factor
+    on the left.  x then takes one matvec per batch.  The padded stack
+    holds (batches in the chunk) x (longest run) factors.
     """
     n = x.size
     with np.errstate(over="ignore"):  # an infinite norm marks the flow
-        B = mats[states] * np.array(dts)[:, None, None]
-    E, l, broken = expm_stack_scaled(B)
+        B = mats[states] * dts[:, None, None]
+    if n == 2:
+        entries, l, broken = expm2_scaled(B)
+        E = np.stack(entries, axis=-1).reshape(-1, 2, 2)
+    else:
+        E, l, broken = expm_stack_scaled(B)
     if broken.any():
         raise StochasticError("trajectory left the positive cone")
-    owners = np.array(owners)
     starts = np.flatnonzero(np.diff(owners, prepend=-1))
     sizes = np.diff(starts, append=len(owners))
     # factor j of run i sits at starts[i] + j; the identity past its end
@@ -246,32 +255,36 @@ def simulate_lyapunov(env: MarkovEnvironment, m: float, T: float,
     t = 0.0
     jumps = 0
     batch_logs = np.zeros(BATCHES)
-    batch_time = [0.0] * BATCHES
+    batch_time = np.zeros(BATCHES)
     bwidth = horizon / BATCHES
     while t < horizon:
         # the chain's path does not depend on x: draw a chunk of it, then
         # carry x through the chunk's flows at once
-        states, dts, owners = [], [], []
+        states, dts, t0 = [], [], t
         for _ in range(_CHUNK_DWELLS):
-            dwell = T * exponential(scales[s])
-            dt = min(dwell, horizon - t)
-            k = min(BATCHES - 1, int(t / bwidth))
+            dt = T * exponential(scales[s])
             states.append(s)
-            dts.append(dt)
-            owners.append(k)
-            batch_time[k] += dt
-            t += dt
-            if dt == dwell:
+            if dt > horizon - t:
+                # the horizon cuts the dwell short, with no jump
+                dt = horizon - t
+            else:
                 s = bisect_right(jump_cdfs[s], random())
                 jumps += 1
+            dts.append(dt)
+            t += dt
             if t >= horizon:
                 break
+        dts = np.array(dts)
+        # each dwell's start, summed in the loop's order as t was
+        starts = np.cumsum(np.concatenate(([t0], dts[:-1])))
+        owners = np.minimum((starts / bwidth).astype(int), BATCHES - 1)
+        # ufunc.at adds one dwell at a time, in order, as a loop would
+        np.add.at(batch_time, owners, dts)
         x = _carry(mats, states, dts, owners, x, batch_logs)
     if jumps < MIN_JUMPS:
         raise DegenerateHorizon(
             f"only {jumps} jumps over the horizon; lengthen it or shrink T")
     lambda_hat = batch_logs.sum() / horizon
-    batch_time = np.array(batch_time)
     means = batch_logs / np.where(batch_time > 0, batch_time, 1.0)
     used = batch_time > 0.5 * bwidth
     k = int(used.sum())

@@ -14,6 +14,7 @@ import pytest  # noqa: E402
 
 from digrowth.model import (PatchModel, PeriodicMatrixFunction,  # noqa: E402
                             validated)
+from digrowth.spectral import expm_stack_scaled  # noqa: E402
 
 
 def random_migration(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -53,6 +54,17 @@ def random_model(rng: np.random.Generator, n: int | None = None,
         migration = PeriodicMatrixFunction.from_segments(
             breaks, [random_migration(rng, n) for _ in range(n_seg)])
     return validated(PatchModel(n, growth, migration))
+
+
+def pade_exponentials(B):
+    """``expm2_scaled`` by the stacked Pade-13 that three patches use: the
+    (E, l, broken) of ``expm_stack_scaled``, with E split into the four entry
+    arrays that the closed form returns."""
+    shape = B.shape[:-2]
+    E, l, broken = expm_stack_scaled(B.reshape(-1, 2, 2))
+    E = E.reshape(*shape, 2, 2)
+    return ((E[..., 0, 0], E[..., 0, 1], E[..., 1, 0], E[..., 1, 1]),
+            l.reshape(shape), broken.reshape(shape))
 
 
 @pytest.fixture

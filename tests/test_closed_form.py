@@ -6,8 +6,7 @@ import math
 import mpmath as mp
 import numpy as np
 
-from digrowth import dynamics as D
-from digrowth.spectral import perron_root
+from digrowth.spectral import expm2_scaled, perron_root
 
 PER_CLASS = 100
 
@@ -43,7 +42,7 @@ def _metzler_cases(rng):
 
 def test_exponential_matches_mpmath_entrywise():
     B = _metzler_cases(np.random.default_rng(20231104))
-    E, l, broken = D._expm2_scaled(B)
+    E, l, broken = expm2_scaled(B)
     assert not broken.any()
     for i in range(len(B)):
         with mp.workdps(40):
@@ -63,7 +62,7 @@ def test_exponential_matches_mpmath_entrywise():
 
 def test_exponential_of_equal_rates_without_flow_is_identity():
     # s = 0: e^B = e^a I exactly
-    E, l, broken = D._expm2_scaled(np.array([[[-0.7, 0.0], [0.0, -0.7]]]))
+    E, l, broken = expm2_scaled(np.array([[[-0.7, 0.0], [0.0, -0.7]]]))
     assert [float(e[0]) for e in E] == [1.0, 0.0, 0.0, 1.0]
     assert l[0] == -0.7 and not broken[0]
 

@@ -40,7 +40,7 @@ def test_sweep_equal_rates_constant():
 # the segment exponential of each kernel path, the 2x2 closed form and the
 # stacked Pade-13 that three patches use, and the product three patches use
 @pytest.mark.parametrize("name, exponential", [
-    ("ab1", "_expm2_scaled"), ("fainshil(0.1,0.1)", "expm_stack_scaled"),
+    ("ab1", "expm2_scaled"), ("fainshil(0.1,0.1)", "expm_stack_scaled"),
     ("fainshil(0.1,0.1)", "scaled_product")])
 def test_sweep_propagates_unexpected_errors(monkeypatch, name, exponential):
     def broken(*args):

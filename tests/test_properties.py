@@ -6,11 +6,12 @@ import warnings
 from unittest import mock
 
 import numpy as np
+from conftest import pade_exponentials
 from hypothesis import example, given, settings, strategies as st
 
 from digrowth import asymptotics, dynamics as D, model as M
 from digrowth.model import PatchModel, PeriodicMatrixFunction, validated
-from digrowth.spectral import expm_stack_scaled, kernel_vector
+from digrowth.spectral import kernel_vector
 
 # breakpoints are multiples of 1/GRID: growth switches at multiples of 4/GRID
 # and migration at 2 mod 4, so the two schedules share only tau = 0, and a
@@ -121,17 +122,6 @@ def test_lambda_is_at_least_p_rbar_under_constant_migration(spec, point):
     assert kernel_vector(L) @ mdl.mean_rates() <= _lam(mdl, *point) + TOL
 
 
-def _pade_exponentials(B):
-    """``_expm2_scaled`` by the stacked Pade-13 that three patches use: the
-    (E, l, broken) of ``expm_stack_scaled``, with E split into the four entry
-    arrays that the closed form returns."""
-    shape = B.shape[:-2]
-    E, l, broken = expm_stack_scaled(B.reshape(-1, 2, 2))
-    E = E.reshape(*shape, 2, 2)
-    return ((E[..., 0, 0], E[..., 0, 1], E[..., 1, 0], E[..., 1, 1]),
-            l.reshape(shape), broken.reshape(shape))
-
-
 def _eigvals_root(M):
     return np.linalg.eigvals(M).real.max(axis=1)
 
@@ -143,7 +133,7 @@ def _both_paths(mdl, m, T):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         lam, status = D.growth_rates(mdl, m, T)
-    with mock.patch.multiple(D, _expm2_scaled=_pade_exponentials,
+    with mock.patch.multiple(D, expm2_scaled=pade_exponentials,
                              perron_root=_eigvals_root):
         want, want_status = D.growth_rates(mdl, m, T)
     assert np.array_equal(status, want_status)

@@ -7,6 +7,7 @@ from bisect import bisect_right
 import numpy as np
 import pytest
 import scipy.linalg
+from conftest import pade_exponentials
 from hypothesis import given, settings, strategies as st
 
 from digrowth import stochastic as S
@@ -19,6 +20,31 @@ def pm1_twin(eps: float = 0.5) -> S.MarkovEnvironment:
     a, b = 1.0 - eps, -1.0 - eps
     return S.environment([([a, b], L_SYM), ([b, a], L_SYM)],
                          [[-1.0, 1.0], [1.0, -1.0]])
+
+
+def _circulant_migration(forward: float, backward: float) -> np.ndarray:
+    L = np.zeros((3, 3))
+    for i in range(3):
+        L[(i + 1) % 3, i] = forward
+        L[(i + 2) % 3, i] = backward
+    return L - np.diag(L.sum(axis=0))
+
+
+def rotating_three() -> S.MarkovEnvironment:
+    """Three states over three patches whose favourable patch and flow
+    direction rotate."""
+    return S.environment(
+        [([0.6, -1.0, -1.2], _circulant_migration(1.0, 0.2)),
+         ([-1.2, 0.6, -1.0], _circulant_migration(0.2, 1.0)),
+         ([-1.0, -1.2, 0.6], _circulant_migration(0.5, 0.5))],
+        [[-1.0, 0.7, 0.3], [0.3, -1.0, 0.7], [0.7, 0.3, -1.0]])
+
+
+def jordan_twin() -> S.MarkovEnvironment:
+    """Two states; at m = 1 the first one's matrix is the Jordan block
+    [[0, 0], [1, 0]]."""
+    return S.environment([([1.0, 0.0], [[-1.0, 0.0], [1.0, 0.0]]),
+                          ([-0.5, 0.2], L_SYM)], [[-1.0, 1.0], [2.0, -2.0]])
 
 
 def test_stationary_symmetric():
@@ -349,10 +375,10 @@ def test_cdf_sampler_reproduces_choice_path(env, log_m, log_T, jumps, seed):
 
 @pytest.mark.parametrize("T", [1e-3, 0.5, 20.0, 100.0])
 def test_defective_state_reproduces_choice_path(T):
-    # at m = 1 the first state's matrix is the Jordan block [[0, 0], [1, 0]];
-    # at T = 100 each dwell's exponential takes several rescaled squarings
-    env = S.environment([([1.0, 0.0], [[-1.0, 0.0], [1.0, 0.0]]),
-                         ([-0.5, 0.2], L_SYM)], [[-1.0, 1.0], [2.0, -2.0]])
+    # at m = 1 the first state's matrix is the Jordan block [[0, 0], [1, 0]],
+    # where the closed form has s = 0: each dwell's flow is I + dt [[0, 0],
+    # [1, 0]] at every T, with no squaring
+    env = jordan_twin()
     assert not _DwellFlow(env.matrix(0, 1.0)).diagonalizable
     got = _assert_same_path(env, 1.0, T, 400.0 * T, 17)
     assert got[2] >= S.MIN_JUMPS
@@ -374,3 +400,100 @@ def test_cdf_draws_what_choice_draws(p):
         got.append((bisect_right(cdf, b.random()), b.exponential(0.7)))
     assert got == want
     assert {i for i, _ in got} == set(np.flatnonzero(p).tolist())
+
+
+def _simulate_per_dwell(env, m, T, horizon, seed):
+    """``simulate_lyapunov`` with each dwell's batch, its cut at the
+    horizon and the batch times taken in the draw loop, dwell by dwell, the
+    way the simulator kept them before it derived them from the chunk's
+    clock; the chunk's flows go through the module's own ``_carry``.
+    (estimate, whether the horizon cut the last dwell)."""
+    n = env.n_patches
+    mu = S.stationary_distribution(env)
+    rng = np.random.default_rng(seed)
+    random, exponential = rng.random, rng.exponential
+    mats = np.stack([env.matrix(s, m) for s in range(env.n_states)])
+    scales = (1.0 / -np.diag(env.Q)).tolist()
+    jump_cdfs = []
+    for s in range(env.n_states):
+        p = env.Q[s].copy()
+        p[s] = 0.0
+        jump_cdfs.append(S._cdf(p / p.sum()))
+
+    s = bisect_right(S._cdf(mu), random())
+    x = np.full(n, 1.0 / n)
+    t = 0.0
+    jumps = 0
+    batch_logs = np.zeros(S.BATCHES)
+    batch_time = [0.0] * S.BATCHES
+    bwidth = horizon / S.BATCHES
+    while t < horizon:
+        states, dts, owners = [], [], []
+        for _ in range(S._CHUNK_DWELLS):
+            dwell = T * exponential(scales[s])
+            dt = min(dwell, horizon - t)
+            k = min(S.BATCHES - 1, int(t / bwidth))
+            states.append(s)
+            dts.append(dt)
+            owners.append(k)
+            batch_time[k] += dt
+            t += dt
+            if dt == dwell:
+                s = bisect_right(jump_cdfs[s], random())
+                jumps += 1
+            if t >= horizon:
+                break
+        x = S._carry(mats, states, np.array(dts), np.array(owners), x,
+                     batch_logs)
+    if jumps < S.MIN_JUMPS:
+        raise S.DegenerateHorizon(
+            f"only {jumps} jumps over the horizon; lengthen it or shrink T")
+    lambda_hat = batch_logs.sum() / horizon
+    batch_time = np.array(batch_time)
+    means = batch_logs / np.where(batch_time > 0, batch_time, 1.0)
+    used = batch_time > 0.5 * bwidth
+    k = int(used.sum())
+    stderr = float(means[used].std(ddof=1) / math.sqrt(k)) if k > 1 else math.inf
+    est = S.LyapunovEstimate(lambda_hat=float(lambda_hat),
+                             stderr=max(stderr, 1e-300), horizon=horizon,
+                             renormalizations=jumps, seed=seed)
+    return est, dt != dwell
+
+
+@pytest.mark.parametrize("T", [1e-2, 1.0, 1e2])
+@pytest.mark.parametrize("name", ["rotating_three", "pm1_twin_pade"])
+def test_chunk_clock_is_the_per_dwell_clock(monkeypatch, name, T):
+    # the batches, batch times and jump count that the simulator derives
+    # from each chunk's cumulative clock are the loop's, bit for bit, over
+    # one chunk and over several.  The three-patch flows are the Pade ones;
+    # the pm1 twin's are forced onto them too
+    if name == "pm1_twin_pade":
+        env = pm1_twin()
+        monkeypatch.setattr(S, "expm2_scaled", pade_exponentials)
+    else:
+        env = rotating_three()
+    for seed in (3, 29, 2024):
+        for jumps in (150.3, 2600.7):
+            args = (env, 0.8, T, jumps * T, seed)
+            want, cut = _simulate_per_dwell(*args)
+            got = S.simulate_lyapunov(*args)
+            assert cut
+            assert ((got.lambda_hat, got.stderr, got.renormalizations)
+                    == (want.lambda_hat, want.stderr,
+                        want.renormalizations))
+
+
+@pytest.mark.parametrize("T", [1e-3, 100.0])
+@pytest.mark.parametrize("env", [pm1_twin(), jordan_twin()])
+def test_closed_form_flows_match_pade(monkeypatch, env, T):
+    # two-patch dwell flows in closed form make the jumps of the stacked
+    # Pade-13 path, with the estimate to rounding
+    for seed in (5, 17, 301):
+        args = (env, 1.0, T, 400.0 * T, seed)
+        got = S.simulate_lyapunov(*args)
+        with monkeypatch.context() as patch:
+            patch.setattr(S, "expm2_scaled", pade_exponentials)
+            want = S.simulate_lyapunov(*args)
+        assert got.renormalizations == want.renormalizations
+        assert abs(got.lambda_hat - want.lambda_hat) <= 1e-13
+        assert abs(got.stderr - want.stderr) <= max(1e-9 * want.stderr, 1e-12)
