@@ -60,7 +60,7 @@ def chi(model: PatchModel) -> float:
 def limit_T0(model: PatchModel, m: float) -> float:
     """Fast regime: Perron root of the period-averaged matrix."""
     A = model.growth.average() + m * model.migration.average()
-    return float(perron_root(A[None])[0])
+    return float(perron_root(A[:, :, None])[0])
 
 
 def limit_Tinf(model: PatchModel, m: float) -> float:
@@ -76,11 +76,11 @@ def limit_Tinf(model: PatchModel, m: float) -> float:
     """
     _, widths, mats = merged_segments(model, m)
     if model.validation is ValidationStatus.IRREDUCIBLE_EVERYWHERE:
-        return float(sum(widths * perron_root(mats)))
+        return float(sum(widths * perron_root(mats.transpose(1, 2, 0))))
     P = None
     for w, A, reach in zip(widths, mats, model.segment_reach):
         same = reach & reach.T  # i and j share a class
-        alpha = np.array([perron_root(A[np.ix_(c, c)][None])[0]
+        alpha = np.array([perron_root(A[np.ix_(c, c)][:, :, None])[0]
                           for c in same])
         # (S_k)_ij = max over the classes c with j -> c -> i of alpha_c
         via = reach[:, :, None] & reach[None, :, :]

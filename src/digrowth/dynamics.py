@@ -7,18 +7,23 @@ the Perron root of Phi(T).  Phi(T) is the exact ordered product of the
 exponentials of the model's merged segments.  All internal products carry a
 separate log-scale factor so that nothing overflows even when Lambda*T is in
 the thousands.  ``growth_rates`` evaluates Lambda over whole arrays of
-(m, T) in stacked passes, for sweeps and scans.  For two patches it takes
-each segment exponential, their product and the final Perron root in
-closed form, written so that no entry is formed as a difference that
-cancels: no Pade step, no squaring and no eigensolver.  For three or more
-it exponentiates all segments of all cells of a block in one
-``spectral.expm_stack_scaled`` pass and multiplies them in one
-``spectral.scaled_product``.  One ``spectral.perron_root`` per block
-gives the roots: for three patches the top root of the characteristic
-cubic of M - tr(M)/3 I in closed form, polished by one Newton step, with
-one ``eigvals`` on the few cells whose root is nearly double; for more
-patches one stacked eigensolve.  ``monodromy`` and the scalar
-``growth_rate`` run the same scaled product on a batch of one;
+(m, T) in stacked passes, for sweeps and scans.  It multiplies the model's
+``kernel_segments``, built once per model, with migration-free runs fused.
+Each block forms B = w_k T (R_k + m L_k) for all K segments and all cells
+at once, entry-major as ``spectral`` takes its stacks, (n, n, K, cells),
+and keeps that layout through the exponential, the product and the root,
+with no transpose.  For two patches it takes each segment exponential,
+their product and the final Perron root in closed form, written so that
+no entry is formed as a difference that cancels: no Pade step, no squaring
+and no eigensolver.  For three or more it exponentiates all segments of
+all cells of a block in one ``spectral.expm_stack_scaled`` pass and
+multiplies them in one ``spectral.scaled_product``, one einsum per level
+of pairwise products.  One ``spectral.perron_root`` per block gives the
+roots: for three patches the top root of the characteristic cubic of
+M - tr(M)/3 I in closed form, polished by one Newton step, with one
+``eigvals`` on the few cells whose root is nearly double; for more patches
+one stacked eigensolve.  ``monodromy`` and the scalar ``growth_rate`` run the same
+scaled product on a batch of one, over the model's ``phase0_segments``;
 ``growth_rate`` takes the Perron pair of that product by power iteration.
 
 The simplex reduction theta = x / sum(x) obeys
@@ -37,7 +42,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ModelParameters, PatchModel, ValidationStatus
+from .model import (KernelSegments, ModelParameters, PatchModel,
+                    ValidationStatus)
 from .spectral import (expm2_scaled, expm_stack_scaled, kernel_vector,
                        perron_positive, perron_root, perron_vector,
                        scaled_product)
@@ -52,10 +58,10 @@ DEFECT_TOL = 1e-8
 _STEP_BUDGET = 10.0
 _MAX_NODES = 400_000
 # cells per stacked pass of growth_rates, which bounds its memory whatever
-# the grid size.  Peak working memory by tracemalloc: 0.5 and 0.7 kB per
+# the grid size.  Peak working memory by tracemalloc: 0.45 and 0.67 kB per
 # cell for two patches over 2 and 3 segments, and for three patches about
-# 0.8 kB per cell and segment, since the fused exponential stack holds all
-# K segments at once (1.7 and 2.4 kB per cell over 2 and 3 segments)
+# 0.66 kB per cell and segment, since the fused exponential stack holds all
+# K segments at once (1.3 and 2.0 kB per cell over 2 and 3 segments)
 _BLOCK_CELLS = 1024
 
 
@@ -118,16 +124,17 @@ def merged_segments(model: PatchModel, m):
 def _monodromy_scaled(model: PatchModel,
                       params: ModelParameters) -> tuple[np.ndarray, float]:
     """(M, logscale) with Phi(T) = e^logscale M: the scaled product of
-    ``growth_rates`` on a batch of one.  It runs over the kernel's segments
-    from phase 0, with migration-free runs fused but not rotated, so that M
-    is Phi(T) itself and its Perron vector anchors theta*."""
+    ``growth_rates`` on a batch of one.  It runs over the model's
+    ``phase0_segments``, with migration-free runs fused but not rotated, so
+    that M is Phi(T) itself and its Perron vector anchors theta*."""
     if model.validation is ValidationStatus.NO_POSITIVE_MONODROMY:
         raise_for_status("non_positive_monodromy")
-    widths, mats = _kernel_segments(model, np.array([params.m]), rotate=False)
-    logscale, M, broken = _scaled_product(widths, np.array([params.T]), mats)
+    logscale, M, broken = _scaled_product(model.phase0_segments,
+                                          np.array([params.m]),
+                                          np.array([params.T]))
     if broken[0]:
         raise_for_status("error")
-    return M[0], float(logscale[0])
+    return M[:, :, 0], float(logscale[0])
 
 
 def monodromy(model: PatchModel, params: ModelParameters) -> np.ndarray:
@@ -165,22 +172,27 @@ _STATUS_ERRORS = {
 }
 
 
-def _scaled_product(widths: np.ndarray, T: np.ndarray,
-                    mats: np.ndarray) -> tuple[np.ndarray, np.ndarray,
-                                               np.ndarray]:
-    """(logscale, M, broken) per cell: Phi(T) = e^logscale M with M the
-    ordered product of the scaled segment exponentials, of unit max entry,
-    and ``broken`` marking cells whose scaling broke down.  Two patches
-    take one ``expm2_scaled`` call and multiply in order on the entry
-    arrays of all cells, every entry a sum of nonnegative terms (M = 0 where
-    broken).  More take one ``expm_stack_scaled`` call on the (K * cells,
-    n, n) stack and one ``scaled_product`` (M = I where broken), and entries
-    of M above -1e-13 are rounding and are clipped to 0."""
-    K, size, n = mats.shape[0], mats.shape[1], mats.shape[-1]
+def _scaled_product(seg: KernelSegments, m: np.ndarray,
+                    T: np.ndarray) -> tuple[np.ndarray, np.ndarray,
+                                            np.ndarray]:
+    """(logscale, M, broken) per cell of flat m and T: Phi(T) = e^logscale M
+    with M (n, n, cells) the entry-major ordered product of the scaled
+    exponentials of B_k = w_k T (R_k + m L_k) over the kernel segments, of
+    unit max entry, and ``broken`` marking cells whose scaling broke down.
+    B is formed entry-major, (n, n, K, cells), and stays so through the
+    exponential, the product and the root.  Two patches take one
+    ``expm2_scaled`` call and multiply in order on the entry arrays of all
+    cells, every entry a sum of nonnegative terms (M = 0 where broken).
+    More take one ``expm_stack_scaled`` call on the (n, n, K * cells) stack
+    and one ``scaled_product`` (M = I where broken), and entries of M above
+    -1e-13 are rounding and are clipped to 0."""
+    n, K, size = seg.R.shape[0], len(seg.widths), len(T)
     with np.errstate(over="ignore"):  # an infinite norm marks the cell
-        B = (widths[:, None] * T)[:, :, None, None] * mats
+        B = (seg.widths[:, None] * T) * (seg.R[..., None]
+                                          + seg.L[..., None] * m)
     if n == 2:
-        (e00, e01, e10, e11), l, bad = expm2_scaled(B)
+        E, l, bad = expm2_scaled(B)
+        (e00, e01), (e10, e11) = E
         broken = bad.any(axis=0)
         logscale = l.sum(axis=0)
         P = np.array((e00[0], e01[0], e10[0], e11[0]))  # rows p, r, r2, q
@@ -196,59 +208,22 @@ def _scaled_product(widths: np.ndarray, T: np.ndarray,
             c[fail] = np.inf
             P /= c
             logscale += np.log(c)
-        # M[:, i, j] is the row 2 i + j of P, read in place
-        return logscale, P.T.reshape(size, 2, 2), broken
-    E, l, bad = expm_stack_scaled(B.reshape(K * size, n, n))
-    M, logscale, fail = scaled_product(E.reshape(K, size, n, n),
+        # M[i, j] is the row 2 i + j of P
+        return logscale, P.reshape(2, 2, size), broken
+    E, l, bad = expm_stack_scaled(B.reshape(n, n, K * size))
+    M, logscale, fail = scaled_product(E.reshape(n, n, K, size),
                                        l.reshape(K, size))
     broken = bad.reshape(K, size).any(axis=0) | fail
-    M[fail] = np.eye(n)
-    clip = M.min(axis=(1, 2)) > -1e-13
-    M = np.where(clip[:, None, None], np.maximum(M, 0.0), M)
+    M[:, :, fail] = np.eye(n)[:, :, None]
+    clip = M.min(axis=(0, 1)) > -1e-13
+    M = np.where(clip, np.maximum(M, 0.0), M)
     return logscale, M, broken
-
-
-def _kernel_segments(model: PatchModel, m: np.ndarray,
-                     rotate: bool = True) -> tuple[np.ndarray, np.ndarray]:
-    """(widths, A) of ``merged_segments`` with each run of consecutive
-    migration-free segments fused into one segment of the run's mean growth.
-
-    Their growth matrices are diagonal, so they commute and
-    e^{T w1 R1} e^{T w2 R2} = e^{T (w1 R1 + w2 R2)}.  Apart, a patch that one
-    of them favours and the next disfavours underflows to 0 in each rescaled
-    factor, and the product with it.  With ``rotate``, a run that ends the
-    period joins the one that starts it: that rotates Phi(T) into a similar
-    matrix with the same root.  Without it the segments still start at
-    phase 0, so the product is Phi(T) itself, and such a run stays split at
-    phase 0.  Models with no two such segments adjacent are left as they
-    are.
-    """
-    seg = model.segments
-    free = ~seg.L.any(axis=(1, 2))
-    inner = free[1:] & free[:-1]  # free segment k + 1 follows a free one
-    wraps = bool(rotate and free[0] and free[-1])
-    if not (wraps or inner.any()):
-        return merged_segments(model, m)[1:]
-    joins = np.concatenate(([wraps], inner))
-    # some segment migrates: a model without migration has no positive
-    # monodromy and never reaches the kernel
-    r = 0
-    if rotate and free[0]:
-        r = (len(free) - np.argmax(~free[::-1])) % len(free)
-    widths, R, L, joins = (np.roll(a, -r, axis=0)
-                           for a in (seg.widths, seg.R, seg.L, joins))
-    starts = np.flatnonzero(~joins)
-    W = np.add.reduceat(widths, starts)
-    R = np.add.reduceat(widths[:, None, None] * R, starts) / W[:, None, None]
-    A = R[:, None] + m[:, None, None] * L[starts][:, None]
-    return W, A
 
 
 def _growth_rates_block(model: PatchModel, m: np.ndarray,
                         T: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``growth_rates`` on flat m and T."""
-    widths, mats = _kernel_segments(model, m)
-    logscale, M, broken = _scaled_product(widths, T, mats)
+    logscale, M, broken = _scaled_product(model.kernel_segments, m, T)
     root = perron_root(M)
     # the model's monodromy is positive, so a root <= 0 has underflowed
     broken |= root <= 0.0
@@ -370,10 +345,10 @@ def _segment_grid(model: PatchModel, params: ModelParameters):
         counts = [max(8, int(c * shrink) + int(c * shrink) % 2) for c in counts]
     with np.errstate(over="ignore"):  # an infinite norm marks the step
         steps = (widths / counts * params.T)[:, None, None] * mats
-    props, _, broken = expm_stack_scaled(steps)
+    props, _, broken = expm_stack_scaled(steps.transpose(1, 2, 0))
     if broken.any():
         raise IntegrationFailure("matrix exponential scaling broke down")
-    return breaks, widths, mats, counts, props
+    return breaks, widths, mats, counts, props.transpose(2, 0, 1)
 
 
 def _theta_star_segments(model: PatchModel, params: ModelParameters):
@@ -486,7 +461,7 @@ def verify_slow_curve(model: PatchModel,
                             "irreducible model")
     segments, _ = _theta_star_segments(model, params)
     jumps = [taus[0] for taus, _, _ in segments]
-    vectors = perron_vector(np.array([A for _, _, A in segments]))
+    vectors = perron_vector(np.stack([A for _, _, A in segments], axis=-1))
     sup = 0.0
     compared = 0
     for (taus, thetas, _), v in zip(segments, vectors):

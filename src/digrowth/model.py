@@ -172,6 +172,58 @@ class Segments:
 
 
 @dataclass(frozen=True)
+class KernelSegments:
+    """A model's segments as the growth-rate kernel multiplies them: on
+    segment k the growth matrix ``R[:, :, k]`` and the migration matrix
+    ``L[:, :, k]`` hold for a fraction ``widths[k]`` of the period.  ``R``
+    and ``L`` are entry-major, (n, n, K): entry (i, j) of every segment is
+    one contiguous array."""
+
+    widths: np.ndarray
+    R: np.ndarray
+    L: np.ndarray
+
+
+def _fuse(seg: Segments, rotate: bool) -> KernelSegments:
+    """``seg`` with each run of consecutive migration-free segments fused
+    into one segment of the run's mean growth.
+
+    Their growth matrices are diagonal, so they commute and
+    e^{T (w1 R1 + w2 R2)} = e^{T w1 R1} e^{T w2 R2}.  Apart, a patch that
+    one of them favours and the next disfavours underflows to 0 in each
+    rescaled factor, and the product with it.  With ``rotate``, a run that
+    ends the period joins the one that starts it: that rotates Phi(T) into
+    a similar matrix with the same root.  Without it the segments still
+    start at phase 0, so the product is Phi(T) itself, and such a run stays
+    split at phase 0.
+    """
+    free = ~seg.L.any(axis=(1, 2))
+    inner = free[1:] & free[:-1]  # free segment k + 1 follows a free one
+    wraps = bool(rotate and free[0] and free[-1])
+    widths, R, L = seg.widths, seg.R, seg.L
+    if wraps or inner.any():
+        joins = np.concatenate(([wraps], inner))
+        # some segment migrates: a model without migration has no positive
+        # monodromy and never reaches the kernel
+        r = 0
+        if rotate and free[0]:
+            r = (len(free) - np.argmax(~free[::-1])) % len(free)
+        widths, R, L, joins = (np.roll(a, -r, axis=0)
+                               for a in (widths, R, L, joins))
+        starts = np.flatnonzero(~joins)
+        R = np.add.reduceat(widths[:, None, None] * R, starts)
+        widths = np.add.reduceat(widths, starts)
+        R /= widths[:, None, None]
+        L = L[starts]
+    fused = KernelSegments(widths=np.array(widths),
+                           R=np.ascontiguousarray(R.transpose(1, 2, 0)),
+                           L=np.ascontiguousarray(L.transpose(1, 2, 0)))
+    for a in (fused.widths, fused.R, fused.L):
+        a.setflags(write=False)
+    return fused
+
+
+@dataclass(frozen=True)
 class ModelParameters:
     """Migration strength m >= 0 and period T > 0."""
 
@@ -222,7 +274,22 @@ class PatchModel:
         R_k + m L_k."""
         from .spectral import reachability  # local import avoids a cycle
 
-        return np.array([reachability(L) for L in self.segments.L])
+        reach = np.array([reachability(L) for L in self.segments.L])
+        reach.setflags(write=False)
+        return reach
+
+    @cached_property
+    def kernel_segments(self) -> KernelSegments:
+        """The merged segments with migration-free runs fused, a run that
+        wraps the period end included, built once: what ``growth_rates``
+        multiplies."""
+        return _fuse(self.segments, rotate=True)
+
+    @cached_property
+    def phase0_segments(self) -> KernelSegments:
+        """The merged segments with migration-free runs fused, split at
+        phase 0, built once: their product is Phi(T) itself."""
+        return _fuse(self.segments, rotate=False)
 
     def rates(self, tau: float) -> np.ndarray:
         """Growth-rate vector r(tau)."""
@@ -432,8 +499,20 @@ def catalog() -> tuple[str, ...]:
     return tuple(sorted(_CATALOG))
 
 
+# built catalog models by name and parameters, oldest first
+_BUILT: dict[tuple[str, str, str], PatchModel] = {}
+_BUILT_MAX = 256
+
+
 def builtin(name: str, *args: float, **kwargs: float) -> PatchModel:
-    """Look up a built-in model; accepts ``"name"`` or ``"name(a,b)"`` forms."""
+    """Look up a built-in model; accepts ``"name"`` or ``"name(a,b)"`` forms.
+
+    A model is built once per process for each name and parameters: it is
+    immutable (frozen dataclasses, read-only arrays), so every caller shares
+    the instance, its validation and its cached segments.  Parameters are
+    told apart by their repr, so ``builtin("fainshil", 0, 0)`` keeps its
+    name ``fainshil(0,0)``.
+    """
     name = name.strip()
     if "(" in name:
         if args or kwargs:
@@ -451,10 +530,16 @@ def builtin(name: str, *args: float, **kwargs: float) -> PatchModel:
         name = base.strip()
     if name not in _CATALOG:
         raise UnknownModel(f"unknown model {name!r}; see catalog()")
-    try:
-        return _CATALOG[name](*args, **kwargs)
-    except TypeError as exc:
-        raise UnknownModel(f"bad parameters for {name!r}: {exc}") from exc
+    key = (name, repr(args), repr(sorted(kwargs.items())))
+    if key not in _BUILT:
+        try:
+            model = _CATALOG[name](*args, **kwargs)
+        except TypeError as exc:
+            raise UnknownModel(f"bad parameters for {name!r}: {exc}") from exc
+        if len(_BUILT) >= _BUILT_MAX:
+            del _BUILT[next(iter(_BUILT))]
+        _BUILT[key] = model
+    return _BUILT[key]
 
 
 # ---------------------------------------------------------------------------

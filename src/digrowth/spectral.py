@@ -1,8 +1,16 @@
 """Spectral primitives for Metzler and nonnegative matrices.
 
+Stacks are entry-major: a stack of N n x n matrices has shape (n, n, N),
+so M[i, j] is one contiguous array of entry (i, j) over the whole stack.
+Each small product of a stack is one ``np.einsum("ij...,jk...->ik...")``,
+whose inner loops run along the stack, in place of one ``matmul`` call per
+matrix, and every max-entry and 1-norm reduction runs over the two leading
+axes.  LAPACK takes matrix-major stacks: where a primitive calls it, it
+passes a transposed view.
+
 Contents:
 
-* ``expm_stack_scaled`` — e^A = e^l E for each matrix of a stack (N, n, n),
+* ``expm_stack_scaled`` — e^A = e^l E for each matrix of a stack (n, n, N),
   by Padé-13 scaling and squaring in NumPy over the whole stack (Higham,
   SIAM J. Matrix Anal. Appl. 26(4), 2005): one scaling and one Padé-13 for
   the stack, its linear system solved for n = 3 on entry arrays from the
@@ -15,9 +23,9 @@ Contents:
   call, theta* every sub-step, and the switched simulator of three or more
   patches every dwell of a chunk.
 * ``expm2_scaled`` — the same e^A = e^l E for 2x2 Metzler matrices in
-  closed form, with no Padé step and no squaring, as four entry arrays:
-  every segment of the two-patch growth rate and every dwell of the
-  two-patch switched simulator.
+  closed form, with no Padé step and no squaring: every segment of the
+  two-patch growth rate and every dwell of the two-patch switched
+  simulator.
 * ``scaled_product`` — the ordered product of a stack of factors e^l E,
   pairwise and rescaled to unit max entry with the logs kept apart: every
   scaled Phi(T) of the growth rate and every batch of simulator dwells.
@@ -62,11 +70,19 @@ _RESCALE_EVERY = 4
 # a 3x3 Perron root x of the shifted cubic p is nearly double, and goes to
 # eigvals, where p'(x) < _FLAT_ROOT ||N||_1^2
 _FLAT_ROOT = 1e-3
+_IDENTITY3 = np.eye(3)[:, :, None]
+
+
+def _mul(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """X Y for each matrix of two entry-major stacks (n, n, ...): one
+    einsum, whose inner loops run along the stack."""
+    return np.einsum("ij...,jk...->ik...", X, Y)
 
 
 def expm_stack_scaled(A: np.ndarray) -> tuple[np.ndarray, np.ndarray,
                                                np.ndarray]:
-    """(E, l, broken) over a stack (N, n, n), with e^{A[c]} = e^{l[c]} E[c].
+    """(E, l, broken) over an entry-major stack (n, n, N), with
+    e^{A[:, :, c]} = e^{l[c]} E[:, :, c].
 
     Padé-13 scaling and squaring (Higham 2005) in one pass over the stack:
     each matrix is scaled once by 2^-s, s = ceil(log2(||A||_1 / theta_13)),
@@ -81,26 +97,26 @@ def expm_stack_scaled(A: np.ndarray) -> tuple[np.ndarray, np.ndarray,
     broke down (a max entry of 0 or not finite); E = I and l = 0 there.
     A matrix's (E, l) does not depend on the rest of the stack.
     """
-    N, n = len(A), A.shape[-1]
-    with np.errstate(over="ignore"):  # an infinite norm marks the matrix
-        nrm = np.abs(A).sum(axis=1).max(axis=1)
-    broken = ~np.isfinite(nrm)
-    s = np.zeros(N, dtype=int)
-    big = (nrm > _THETA13) & ~broken
-    s[big] = np.ceil(np.log2(nrm[big] / _THETA13))
+    n, N = A.shape[0], A.shape[2]
+    with np.errstate(over="ignore", divide="ignore"):
+        # an infinite norm marks the matrix; a zero norm needs no squaring
+        nrm = np.abs(A).sum(axis=0).max(axis=0)
+        broken = ~np.isfinite(nrm)
+        s = np.ceil(np.log2(np.where(broken, 0.0, nrm) / _THETA13))
+    s = np.maximum(s, 0.0).astype(int)
     order = np.argsort(-s, kind="stable")
     s, broken = s[order], broken[order]
-    A = A[order]
-    A[broken] = 0.0
-    A /= (2.0 ** s)[:, None, None]
+    A = np.take(A, order, axis=2)
+    A[:, :, broken] = 0.0
+    A /= 2.0 ** s
     b = _PADE13
-    ident = np.eye(n)
-    A2 = A @ A
-    A4 = A2 @ A2
-    A6 = A4 @ A2
-    U = A @ (A6 @ (b[13] * A6 + b[11] * A4 + b[9] * A2)
+    ident = np.eye(n)[:, :, None]
+    A2 = _mul(A, A)
+    A4 = _mul(A2, A2)
+    A6 = _mul(A4, A2)
+    U = _mul(A, _mul(A6, b[13] * A6 + b[11] * A4 + b[9] * A2)
              + b[7] * A6 + b[5] * A4 + b[3] * A2 + b[1] * ident)
-    V = (A6 @ (b[12] * A6 + b[10] * A4 + b[8] * A2)
+    V = (_mul(A6, b[12] * A6 + b[10] * A4 + b[8] * A2)
          + b[6] * A6 + b[4] * A4 + b[2] * A2 + b[0] * ident)
     del A, A2, A4, A6  # only U and V go on: this lowers the peak memory
     if n == 3:
@@ -110,61 +126,69 @@ def expm_stack_scaled(A: np.ndarray) -> tuple[np.ndarray, np.ndarray,
         E = _solve3(V, U)
         E += ident
     else:
-        E = np.linalg.solve(V - U, V + U)
+        # LAPACK takes matrix-major stacks: these are views, and so is E
+        E = np.linalg.solve((V - U).transpose(2, 0, 1),
+                            (V + U).transpose(2, 0, 1)).transpose(1, 2, 0)
 
-    def rescale(F, p):
-        """Write F / max|F| over E[:p]; the logs of the factors."""
-        c = np.abs(F.reshape(p, n * n)).max(axis=1)
-        np.divide(F, c[:, None, None], out=E[:p])
+    def rescale(F):
+        """F / max|F| in place; the logs of the factors."""
+        c = np.abs(F).max(axis=(0, 1))
+        F /= c
         return np.log(c)
 
     # prefix lengths: the matrices with s > k lead the stack at step k
     ends = np.searchsorted(-s, -np.arange(s.max(initial=0)), side="left")
     with np.errstate(divide="ignore", invalid="ignore"):
         # a factor that is 0 or not finite leaves l non-finite for good
-        l = rescale(E, N)
+        l = rescale(E)
+        F = E  # the squares of the prefix still squaring
         for k, p in enumerate(ends.tolist(), 1):
-            l[:p] *= 2.0
-            F = E[:p] @ E[:p]
-            if k % _RESCALE_EVERY:
-                E[:p] = F
-            else:
-                l[:p] += rescale(F, p)
-        l += rescale(E, N)
+            if p < F.shape[2]:  # the matrices past p are done
+                E[:, :, p:F.shape[2]] = F[:, :, p:]
+                F = F[:, :, :p]
+            F = _mul(F, F)
+            if not k % _RESCALE_EVERY:
+                # l has doubled at each squaring since the last rescale;
+                # a power of two scales exactly, so do it here at once
+                l[:p] = l[:p] * 2.0 ** _RESCALE_EVERY + rescale(F)
+        E[:, :, :F.shape[2]] = F
+        l *= 2.0 ** (s % _RESCALE_EVERY)
+        l += rescale(E)
     fail = ~np.isfinite(l)
     broken |= fail
-    E[fail] = ident
+    E[:, :, fail] = ident
     l[fail] = 0.0
     inverse = np.empty_like(order)
     inverse[order] = np.arange(N)
-    return E[inverse], l[inverse], broken[inverse]
+    return np.take(E, inverse, axis=2), l[inverse], broken[inverse]
+
+
+# W[r, c] = A[c % 3, r % 3] over the flat entries 3 (c % 3) + r % 3 of a 3x3
+# matrix, r and c in 0..4: every cofactor is a 2x2 window of W
+_ADJUGATE_INDEX = np.array((0, 3, 6, 0, 3, 1, 4, 7, 1, 4, 2, 5, 8, 2, 5,
+                            0, 3, 6, 0, 3, 1, 4, 7, 1, 4))
 
 
 def _solve3(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """A^-1 B over stacks (N, 3, 3) from the adjugate of each A and its
-    determinant, with no per-matrix LAPACK call.  On cyclic indices the
-    cofactors carry their own signs: adj(A)_ij = A_{j+1,i+1} A_{j+2,i+2}
+    """A^-1 B over entry-major stacks (3, 3, N) from the adjugate of each A
+    and its determinant, with no per-matrix LAPACK call.  On cyclic indices
+    the cofactors carry their own signs: adj(A)_ij = A_{j+1,i+1} A_{j+2,i+2}
     - A_{j+1,i+2} A_{j+2,i+1}, and det A = sum_j A_0j adj(A)_j0."""
-    # W[:, r, c] = A[:, c % 3, r % 3], read as flat indices 3 (c % 3) + r % 3
-    W = A.reshape(len(A), 9)[:, (0, 3, 6, 0, 3, 1, 4, 7, 1, 4, 2, 5, 8, 2, 5,
-                                 0, 3, 6, 0, 3, 1, 4, 7, 1, 4)]
-    W = W.reshape(len(A), 5, 5)
-    adj = W[:, 1:4, 1:4] * W[:, 2:, 2:]
-    adj -= W[:, 1:4, 2:] * W[:, 2:, 1:4]
+    N = A.shape[2]
+    W = A.reshape(9, N)[_ADJUGATE_INDEX].reshape(5, 5, N)
+    adj = W[1:4, 1:4] * W[2:, 2:]
+    adj -= W[1:4, 2:] * W[2:, 1:4]
     del W
-    a, c = A[:, 0], adj[:, :, 0]
-    det = a[:, 0] * c[:, 0] + a[:, 1] * c[:, 1] + a[:, 2] * c[:, 2]
-    X = adj @ B
-    X /= det[:, None, None]
+    det = A[0, 0] * adj[0, 0] + A[0, 1] * adj[1, 0] + A[0, 2] * adj[2, 0]
+    X = _mul(adj, B)
+    X /= det
     return X
 
 
-def expm2_scaled(B: np.ndarray) -> tuple[tuple[np.ndarray, ...], np.ndarray,
-                                         np.ndarray]:
-    """``expm_stack_scaled`` in closed form for 2x2 Metzler matrices B
-    (..., 2, 2): (E, l, broken) with e^B = e^l E, where E is the tuple of
-    entry arrays (E00, E01, E10, E11), every entry >= 0, and nothing is
-    squared.
+def expm2_scaled(B: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``expm_stack_scaled`` in closed form for 2x2 Metzler matrices of an
+    entry-major stack B (2, 2, ...): (E, l, broken) with e^B = e^l E, every
+    entry of E >= 0, and nothing squared.
 
     For B = [[a, b], [c, d]] with b, c >= 0, t = (a + d)/2,
     delta = (a - d)/2 and s = sqrt(delta^2 + bc) is real, and
@@ -179,12 +203,11 @@ def expm2_scaled(B: np.ndarray) -> tuple[tuple[np.ndarray, ...], np.ndarray,
     """
     A = np.abs(B)
     with np.errstate(over="ignore"):  # an infinite norm marks the cell
-        nrm = 2.0 * np.maximum(A[..., 0, 0] + A[..., 1, 0],
-                               A[..., 0, 1] + A[..., 1, 1])
+        nrm = 2.0 * np.maximum(A[0, 0] + A[1, 0], A[0, 1] + A[1, 1])
     broken = ~np.isfinite(nrm)
     if broken.any():
-        B = np.where(broken[..., None, None], 0.0, B)
-    a, b, c, d = B[..., 0, 0], B[..., 0, 1], B[..., 1, 0], B[..., 1, 1]
+        B = np.where(broken, 0.0, B)
+    (a, b), (c, d) = B
     delta = 0.5 * (a - d)
     g = np.sqrt(b) * np.sqrt(c)  # sqrt(bc), which does not overflow
     s = np.hypot(delta, g)
@@ -198,32 +221,34 @@ def expm2_scaled(B: np.ndarray) -> tuple[tuple[np.ndarray, ...], np.ndarray,
     big = 0.5 + 0.5 * decay + f * spread
     small = np.where(distinct, (g * (g / u) + u * decay) / (2.0 * s1), 1.0)
     first = delta >= 0.0
-    E = (np.where(first, big, small), f * b, f * c,
-         np.where(first, small, big))
+    E = np.array(((np.where(first, big, small), f * b),
+                  (f * c, np.where(first, small, big))))
     return E, 0.5 * (a + d) + s, broken
 
 
 def scaled_product(E: np.ndarray, l: np.ndarray) -> tuple[np.ndarray, ...]:
-    """(P, logs, broken) with e^logs P = e^{l[K-1]} E[K-1] ... e^{l[0]} E[0]
-    over a stack E (K, ..., n, n) and its logs l (K, ...): pairwise, later
-    factor on the left, one stacked ``@`` per level, an odd last factor
-    carried up a level.  Each product is rescaled to unit max entry with
-    the log of the factor added; ``broken`` marks a non-finite log (a
-    product that was 0 or not finite).  For K <= 3 factors of unit max
-    entry the arithmetic is that of a left-to-right loop."""
+    """(P, logs, broken) with e^logs P = e^{l[K-1]} E[:, :, K-1] ...
+    e^{l[0]} E[:, :, 0] over an entry-major stack E (n, n, K, ...) and its
+    logs l (K, ...): P is (n, n, ...).  Pairwise, later factor on the left,
+    one einsum per level, an odd last factor carried up a level.  Each
+    product is rescaled to unit max entry with the log of the factor added;
+    ``broken`` marks a non-finite log (a product that was 0 or not finite).
+    For K <= 3 factors of unit max entry the arithmetic is that of a
+    left-to-right loop."""
     with np.errstate(divide="ignore", invalid="ignore"):
         # a product that is 0 or not finite leaves its log non-finite
-        while len(E) > 1:
-            even = len(E) - len(E) % 2
-            P = E[1:even:2] @ E[:even:2]
-            c = np.abs(P).max(axis=(-2, -1))
-            P /= c[..., None, None]
+        while E.shape[2] > 1:
+            K = E.shape[2]
+            even = K - K % 2
+            P = _mul(E[:, :, 1:even:2], E[:, :, :even:2])
+            c = np.abs(P).max(axis=(0, 1))
+            P /= c
             logs = l[:even:2] + l[1:even:2] + np.log(c)
-            if even < len(E):
-                P = np.concatenate([P, E[even:]])
+            if even < K:
+                P = np.concatenate([P, E[:, :, even:]], axis=2)
                 logs = np.concatenate([logs, l[even:]])
             E, l = P, logs
-    return E[0], l[0], ~np.isfinite(l[0])
+    return E[:, :, 0], l[0], ~np.isfinite(l[0])
 
 
 def reachability(A: np.ndarray) -> np.ndarray:
@@ -244,21 +269,23 @@ def is_irreducible(A: np.ndarray) -> bool:
 
 
 def perron_root(M: np.ndarray) -> np.ndarray:
-    """Perron root of each Metzler matrix of a stack (N, n, n), its real
-    eigenvalue of largest real part: (p + q)/2 + sqrt(((p - q)/2)^2 + r r2)
-    for [[p, r], [r2, q]], ``_perron_root3`` for n = 3, else one eigvals."""
-    if M.shape[-1] == 2:
-        p, r, r2, q = M[:, 0, 0], M[:, 0, 1], M[:, 1, 0], M[:, 1, 1]
+    """Perron root of each Metzler matrix of an entry-major stack (n, n, N),
+    its real eigenvalue of largest real part:
+    (p + q)/2 + sqrt(((p - q)/2)^2 + r r2) for [[p, r], [r2, q]],
+    ``_perron_root3`` for n = 3, else one eigvals."""
+    if M.shape[0] == 2:
+        (p, r), (r2, q) = M
         return 0.5 * (p + q) + np.hypot(0.5 * (p - q), np.sqrt(r * r2))
-    if M.shape[-1] == 3:
+    if M.shape[0] == 3:
         return _perron_root3(M)
-    return np.linalg.eigvals(M).real.max(axis=1)
+    return _top_eigenvalue(M)
 
 
 def _perron_root3(M: np.ndarray) -> np.ndarray:
-    """Perron root of each Metzler 3x3 matrix of a stack, t + x with
-    t = tr(M)/3 and x the largest real root of the characteristic cubic
-    p(x) = x^3 + q x - det N of the traceless N = M - t I.
+    """Perron root of each Metzler 3x3 matrix of an entry-major stack
+    (3, 3, N), t + x with t = tr(M)/3 and x the largest real root of the
+    characteristic cubic p(x) = x^3 + q x - det N of the traceless
+    N = M - t I.
 
     The root is real and x >= 0 (the eigenvalues of N sum to 0 and none
     has a larger real part), so it is the top root of the trigonometric
@@ -271,9 +298,9 @@ def _perron_root3(M: np.ndarray) -> np.ndarray:
     matrices take the top eigenvalue of one eigvals.  A scalar M (N = 0)
     has the root t.
     """
-    t = np.trace(M, axis1=1, axis2=2) / 3.0
-    N = M - t[:, None, None] * np.eye(3)
-    a, m01, m02, m10, b, m12, m20, m21, c = N.reshape(len(N), 9).T
+    t = np.trace(M) / 3.0
+    N = M - t * _IDENTITY3
+    a, m01, m02, m10, b, m12, m20, m21, c = N.reshape(9, M.shape[2])
     bc = b * c - m12 * m21
     q = a * b - m01 * m10 + a * c - m02 * m20 + bc
     det = a * bc - m01 * (m10 * c - m12 * m20) + m02 * (m10 * m21 - b * m20)
@@ -292,22 +319,28 @@ def _perron_root3(M: np.ndarray) -> np.ndarray:
     dp = 3.0 * x2 + q
     x -= np.divide((x2 + q) * x - det, dp, out=np.zeros_like(x),
                    where=dp != 0.0)
-    norm = np.abs(N).sum(axis=1).max(axis=1)
+    norm = np.abs(N).sum(axis=0).max(axis=0)
     flat = ~(3.0 * x * x + q >= _FLAT_ROOT * norm * norm)
     root = t + x
     if flat.any():
-        root[flat] = np.linalg.eigvals(M[flat]).real.max(axis=1)
+        root[flat] = _top_eigenvalue(M[:, :, flat])
     return root
 
 
+def _top_eigenvalue(M: np.ndarray) -> np.ndarray:
+    """Largest real part of the eigenvalues of each matrix of an
+    entry-major stack (n, n, N), from one stacked eigvals."""
+    return np.linalg.eigvals(M.transpose(2, 0, 1)).real.max(axis=1)
+
+
 def perron_vector(M: np.ndarray) -> np.ndarray:
-    """Unit-sum nonnegative Perron vector of each Metzler matrix of a stack
-    (N, n, n): the eigenvector of the eigenvalue of largest real part, from
-    one stacked eig, in absolute value.  It is positive where M is
-    irreducible."""
-    w, V = np.linalg.eig(M)
+    """Unit-sum nonnegative Perron vector of each Metzler matrix of an
+    entry-major stack (n, n, N), as the rows of an (N, n) array: the
+    eigenvector of the eigenvalue of largest real part, from one stacked
+    eig, in absolute value.  It is positive where M is irreducible."""
+    w, V = np.linalg.eig(M.transpose(2, 0, 1))
     k = np.argmax(w.real, axis=1)
-    v = np.abs(V[np.arange(len(M)), :, k].real)
+    v = np.abs(V[np.arange(len(w)), :, k].real)
     return v / v.sum(axis=1, keepdims=True)
 
 
@@ -338,7 +371,8 @@ def perron_positive(A: np.ndarray) -> tuple[float, np.ndarray]:
         if it == _POWER_STALL and res > np.sqrt(POWER_TOL):
             break
         prev_res = res
-    return float(perron_root(A[None])[0]), perron_vector(A[None])[0]
+    stack = A[:, :, None]
+    return float(perron_root(stack)[0]), perron_vector(stack)[0]
 
 
 def kernel_vector(L: np.ndarray) -> np.ndarray:

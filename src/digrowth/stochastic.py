@@ -22,7 +22,11 @@ the chunk from a cumulative sum, which adds in the loop's order.  The
 chunk's flows are formed in one pass, each as e^l E: for two patches by
 the closed form ``spectral.expm2_scaled``, with no Padé step or squaring,
 and for more by ``spectral.expm_stack_scaled``, E of unit max entry, so
-long dwells and defective matrices need no special path.  The runs of
+long dwells and defective matrices need no special path.  Both return the
+entry-major stack (n, n, dwells) that ``spectral.scaled_product`` takes,
+and the state matrices are stored that way, so no flow is transposed.  An
+environment's stationary law, jump laws and exit scales are cached
+properties, computed at its first call.  The runs of
 flows of the chunk's batches, padded with identities to the longest run,
 are multiplied in one ``spectral.scaled_product`` call, pairwise and
 rescaled with their logs kept apart, and the population vector takes one
@@ -35,6 +39,7 @@ import json
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -113,6 +118,29 @@ class MarkovEnvironment:
     def matrix(self, s: int, m: float) -> np.ndarray:
         return np.diag(self.rates[s]) + m * self.migrations[s]
 
+    @cached_property
+    def stationary(self) -> np.ndarray:
+        """``stationary_distribution`` of the chain, computed once."""
+        mu = stationary_distribution(self)
+        mu.setflags(write=False)
+        return mu
+
+    @cached_property
+    def exit_scales(self) -> tuple[float, ...]:
+        """Mean holding time 1 / -Q_ss of each state."""
+        return tuple((1.0 / -np.diag(self.Q)).tolist())
+
+    @cached_property
+    def jump_cdfs(self) -> tuple[tuple[float, ...], ...]:
+        """Each state's law of the next state, as the cumulative law
+        ``_cdf`` that the jumps are drawn from."""
+        laws = []
+        for s in range(self.n_states):
+            p = self.Q[s].copy()
+            p[s] = 0.0
+            laws.append(tuple(_cdf(p / p.sum())))
+        return tuple(laws)
+
 
 @dataclass(frozen=True)
 class LyapunovEstimate:
@@ -170,21 +198,19 @@ def _carry(mats: np.ndarray, states: list[int], dts: np.ndarray,
     belongs to batch ``owners[i]`` (nondecreasing).  Each batch's
     log-growth over the chunk is added to ``batch_logs``.
 
-    One call gives every e^{A_s dt} = e^l E of the chunk: for two patches
-    ``expm2_scaled``, in closed form, and for more ``expm_stack_scaled``.
-    Each batch's run of factors is padded with identities to the longest
-    run, and one ``scaled_product`` call multiplies all runs, later factor
-    on the left.  x then takes one matvec per batch.  The padded stack
-    holds (batches in the chunk) x (longest run) factors.
+    ``mats`` holds the state matrices entry-major, (n, n, states).  One
+    call gives every e^{A_s dt} = e^l E of the chunk, entry-major: for two
+    patches ``expm2_scaled``, in closed form, and for more
+    ``expm_stack_scaled``.  Each batch's run of factors is padded with
+    identities to the longest run, and one ``scaled_product`` call
+    multiplies all runs, later factor on the left.  x then takes one matvec
+    per batch.  The padded stack holds (batches in the chunk) x (longest
+    run) factors.
     """
     n = x.size
     with np.errstate(over="ignore"):  # an infinite norm marks the flow
-        B = mats[states] * dts[:, None, None]
-    if n == 2:
-        entries, l, broken = expm2_scaled(B)
-        E = np.stack(entries, axis=-1).reshape(-1, 2, 2)
-    else:
-        E, l, broken = expm_stack_scaled(B)
+        B = mats[:, :, states] * dts
+    E, l, broken = (expm2_scaled if n == 2 else expm_stack_scaled)(B)
     if broken.any():
         raise StochasticError("trajectory left the positive cone")
     starts = np.flatnonzero(np.diff(owners, prepend=-1))
@@ -192,10 +218,10 @@ def _carry(mats: np.ndarray, states: list[int], dts: np.ndarray,
     # factor j of run i sits at starts[i] + j; the identity past its end
     col = np.arange(sizes.max())[:, None]
     take = np.where(col < sizes, starts + col, len(owners))
-    P, logs, _ = scaled_product(np.concatenate([E, np.eye(n)[None]])[take],
-                                np.append(l, 0.0)[take])
+    E = np.concatenate([E, np.eye(n)[:, :, None]], axis=2)
+    P, logs, _ = scaled_product(E[:, :, take], np.append(l, 0.0)[take])
     for run, k in enumerate(owners[starts].tolist()):
-        x = P[run] @ x
+        x = P[:, :, run] @ x
         norm = x.sum()
         gain = logs[run] + math.log(norm) if norm > 0.0 else math.nan
         if not math.isfinite(gain):
@@ -234,21 +260,16 @@ def simulate_lyapunov(env: MarkovEnvironment, m: float, T: float,
     if m == 0.0 or env.n_states == 1:
         # exact: without migration the diagonal flows commute, giving the
         # best stationary-mean patch rate; without switching, the Perron root
-        exact = ((stationary_distribution(env) @ np.array(env.rates)).max()
-                 if m == 0.0 else perron_root(env.matrix(0, m)[None])[0])
+        exact = ((env.stationary @ np.array(env.rates)).max()
+                 if m == 0.0 else perron_root(env.matrix(0, m)[:, :, None])[0])
         return LyapunovEstimate(lambda_hat=float(exact), stderr=1e-15,
                                 horizon=horizon, renormalizations=0,
                                 seed=seed)
-    mu = stationary_distribution(env)
+    mu = env.stationary
     rng = np.random.default_rng(seed)
     random, exponential = rng.random, rng.exponential
-    mats = np.stack([env.matrix(s, m) for s in range(env.n_states)])
-    scales = (1.0 / -np.diag(env.Q)).tolist()
-    jump_cdfs = []
-    for s in range(env.n_states):
-        p = env.Q[s].copy()
-        p[s] = 0.0
-        jump_cdfs.append(_cdf(p / p.sum()))
+    mats = np.stack([env.matrix(s, m) for s in range(env.n_states)], axis=-1)
+    scales, jump_cdfs = env.exit_scales, env.jump_cdfs
 
     s = bisect_right(_cdf(mu), random())
     x = np.full(n, 1.0 / n)
@@ -302,12 +323,12 @@ def stochastic_limits(env: MarkovEnvironment, m: float) -> dict:
     chi:  stationary average of the pointwise best rate, an upper bound
     corners: slow/fast-migration values m -> 0 and m -> infinity
     """
-    mu = stationary_distribution(env)
+    mu = env.stationary
     mats = [env.matrix(s, m) for s in range(env.n_states)]
     Abar = sum(float(w) * A for w, A in zip(mu, mats))
     rbar = sum(float(w) * env.rates[s] for s, w in enumerate(mu))
     Lbar = sum(float(w) * env.migrations[s] for s, w in enumerate(mu))
-    *roots, t0 = perron_root(np.array(mats + [Abar])).tolist()
+    *roots, t0 = perron_root(np.stack(mats + [Abar], axis=-1)).tolist()
     tinf = float(sum(w * r for w, r in zip(mu, roots)))
     chi = float(sum(w * env.rates[s].max() for s, w in enumerate(mu)))
     corners = {"lambda_0T": float(rbar.max()), "sup": chi}

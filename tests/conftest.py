@@ -58,13 +58,11 @@ def random_model(rng: np.random.Generator, n: int | None = None,
 
 def pade_exponentials(B):
     """``expm2_scaled`` by the stacked Pade-13 that three patches use: the
-    (E, l, broken) of ``expm_stack_scaled``, with E split into the four entry
-    arrays that the closed form returns."""
-    shape = B.shape[:-2]
-    E, l, broken = expm_stack_scaled(B.reshape(-1, 2, 2))
-    E = E.reshape(*shape, 2, 2)
-    return ((E[..., 0, 0], E[..., 0, 1], E[..., 1, 0], E[..., 1, 1]),
-            l.reshape(shape), broken.reshape(shape))
+    (E, l, broken) of ``expm_stack_scaled`` on the entry-major stack B
+    (2, 2, ...), shaped as the closed form returns them."""
+    shape = B.shape[2:]
+    E, l, broken = expm_stack_scaled(B.reshape(2, 2, -1))
+    return E.reshape(B.shape), l.reshape(shape), broken.reshape(shape)
 
 
 @pytest.fixture

@@ -213,7 +213,7 @@ def test_criterion_10_stochastic_estimator():
         # single-state environment collapses to the exact dominant exponent
         env1 = S.environment(
             [([0.5, -1.5], [[-1.0, 2.0], [1.0, -2.0]])], [[0.0]])
-        exact = perron_root(env1.matrix(0, 1.3)[None])[0]
+        exact = perron_root(env1.matrix(0, 1.3)[:, :, None])[0]
         assert S.simulate_lyapunov(env1, 1.3, 1.0, 50.0).lambda_hat == exact
 
         env = _pm1_twin()

@@ -149,7 +149,8 @@ def test_limit_Tinf_of_irreducible_segments_is_the_period_average():
         for m in (0.05, 1.0, 20.0):
             _, widths, mats = D.merged_segments(mdl, m)
             assert A.limit_Tinf(mdl, m) == float(sum(
-                w * perron_root(Ak[None])[0] for w, Ak in zip(widths, mats)))
+                w * perron_root(Ak[:, :, None])[0]
+                for w, Ak in zip(widths, mats)))
 
 
 def test_m_star_residual():
@@ -181,7 +182,7 @@ def test_pointwise_lam_max_between_rate_extremes(rng):
         for tau in rng.uniform(0.0, 1.0, size=5):
             r = mdl.rates(float(tau))
             Amat = mdl.growth.value(float(tau)) + m * mdl.migration.value(float(tau))
-            lam = perron_root(Amat[None])[0]
+            lam = perron_root(Amat[:, :, None])[0]
             assert r.min() - 1e-10 <= lam <= r.max() + 1e-10
 
 

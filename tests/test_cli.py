@@ -311,7 +311,7 @@ def _assert_slow_curve_rows(rows, mdl, params):
     of the segment whose sub-step grid holds the row's node."""
     traj = dynamics.periodic_simplex_solution(mdl, params)
     _, _, mats, counts, _ = dynamics._segment_grid(mdl, params)
-    vectors = spectral.perron_vector(mats)
+    vectors = spectral.perron_vector(mats.transpose(1, 2, 0))
     own = np.append(np.repeat(np.arange(len(counts)), counts), len(counts) - 1)
     assert len(rows) - 1 == len(traj.states) == len(own)
     n = mdl.n

@@ -42,13 +42,14 @@ def _metzler_cases(rng):
 
 def test_exponential_matches_mpmath_entrywise():
     B = _metzler_cases(np.random.default_rng(20231104))
-    E, l, broken = expm2_scaled(B)
+    E, l, broken = expm2_scaled(B.transpose(1, 2, 0))
     assert not broken.any()
     for i in range(len(B)):
         with mp.workdps(40):
             ref = mp.expm(mp.matrix(B[i].tolist()))
         tol = 1e-12 * max(1.0, abs(l[i]))
-        for got, (j, k) in zip(E, ((0, 0), (0, 1), (1, 0), (1, 1))):
+        for got, (j, k) in zip(E.reshape(4, -1),
+                               ((0, 0), (0, 1), (1, 0), (1, 1))):
             want, e = ref[j, k], float(got[i])
             if want == 0:
                 assert e == 0.0
@@ -62,8 +63,8 @@ def test_exponential_matches_mpmath_entrywise():
 
 def test_exponential_of_equal_rates_without_flow_is_identity():
     # s = 0: e^B = e^a I exactly
-    E, l, broken = expm2_scaled(np.array([[[-0.7, 0.0], [0.0, -0.7]]]))
-    assert [float(e[0]) for e in E] == [1.0, 0.0, 0.0, 1.0]
+    E, l, broken = expm2_scaled(np.array([[[-0.7], [0.0]], [[0.0], [-0.7]]]))
+    assert E.ravel().tolist() == [1.0, 0.0, 0.0, 1.0]
     assert l[0] == -0.7 and not broken[0]
 
 
@@ -73,7 +74,7 @@ def test_perron_root_matches_eigvals():
     P[0::4, 0, 1] = 0.0
     P[1::4, 1, 0] = 0.0
     P[2::4, 1, 1] = P[2::4, 0, 0]
-    root = perron_root(P)
+    root = perron_root(P.transpose(1, 2, 0))
     want = np.linalg.eigvals(P).real.max(axis=1)
     assert np.all(np.abs(root - want) <= 1e-14 * P.max(axis=(1, 2)))
     for i in range(0, len(P), 7):

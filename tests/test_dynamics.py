@@ -149,7 +149,7 @@ def test_theta_star_constant_matrix_is_perron_vector():
     mdl = M.validated(M.PatchModel(2, growth, migration))
     traj = D.periodic_simplex_solution(mdl, P(1.0, 3.0))
     A = np.diag([0.3, -0.9]) + np.array([[-1.0, 2.0], [1.0, -2.0]])
-    v = perron_vector(A[None])[0]
+    v = perron_vector(A[:, :, None])[0]
     assert np.abs(traj.states - v[None, :]).max() <= 1e-9
 
 

@@ -5,6 +5,8 @@ import warnings
 import mpmath as mp
 import numpy as np
 import pytest
+import scipy.linalg
+from conftest import random_model
 from hypothesis import given, settings, strategies as st
 
 from digrowth import dynamics as D, model as M
@@ -205,7 +207,7 @@ def test_nearly_double_perron_root_takes_eigvals(monkeypatch):
         return eigvals(M)
 
     monkeypatch.setattr(np.linalg, "eigvals", spy)
-    root = perron_root(np.array([apart, near, np.eye(3)]))
+    root = perron_root(np.stack([apart, near, np.eye(3)], axis=-1))
     assert len(calls) == 1 and np.array_equal(calls[0], near[None])
     for P, got in zip((apart, near), root):
         with mp.workdps(40):
@@ -214,6 +216,26 @@ def test_nearly_double_perron_root_takes_eigvals(monkeypatch):
         assert abs(got - want) <= 2e-16 * want
     # a scalar matrix is its own root, off the cubic
     assert root[2] == 1.0
+
+
+def test_four_patch_matches_a_per_cell_scipy_product():
+    # no catalog model has four patches: the exponential's generic solve
+    # branch and the eigvals root, against scipy's expm cell by cell
+    mdl = random_model(np.random.default_rng(44), n=4)
+    assert mdl.n == 4 and len(mdl.segments.widths) > 1
+    mv, Tv = np.geomspace(0.05, 20.0, 6), np.geomspace(1e-2, 50.0, 6)
+    lam, status = D.growth_rates(mdl, mv[:, None], Tv[None, :])
+    assert np.all(status == "ok")
+    seg = mdl.segments
+    for i, m in enumerate(mv):
+        for j, T in enumerate(Tv):
+            Phi, log = np.eye(4), 0.0
+            for w, R, L in zip(seg.widths, seg.R, seg.L):
+                Phi = scipy.linalg.expm(w * T * (R + m * L)) @ Phi
+                c = np.abs(Phi).max()
+                Phi, log = Phi / c, log + np.log(c)
+            want = (log + np.log(np.linalg.eigvals(Phi).real.max())) / T
+            assert abs(lam[i, j] - want) <= 1e-11, (m, T)
 
 
 def test_reducible_statuses_at_large_periods():

@@ -143,6 +143,19 @@ def test_builtin_name_parsing():
         M.builtin("pm1(2.0)")  # out of the open unit interval
 
 
+def test_builtin_builds_each_model_once():
+    a = M.builtin("fainshil(0.1,0.1)")
+    assert a is M.builtin("fainshil", 0.1, 0.1)
+    assert a is not M.builtin("fainshil", 0.2, 0.1)
+    # parameters are told apart by their repr: a name keeps its spelling
+    assert M.builtin("fainshil", 0, 0).name == "fainshil(0,0)"
+    assert M.builtin("fainshil(0,0)").name == "fainshil(0.0,0.0)"
+    # the shared instance's cached arrays cannot be written
+    for arr in (a.segments.R, a.segment_reach, a.kernel_segments.R,
+                a.phase0_segments.L):
+        assert not arr.flags.writeable
+
+
 def test_catalog_lists_all():
     names = M.catalog()
     assert "ab1" in names and "fainshil" in names

@@ -123,7 +123,7 @@ def test_lambda_is_at_least_p_rbar_under_constant_migration(spec, point):
 
 
 def _eigvals_root(M):
-    return np.linalg.eigvals(M).real.max(axis=1)
+    return np.linalg.eigvals(M.transpose(2, 0, 1)).real.max(axis=1)
 
 
 def _both_paths(mdl, m, T):

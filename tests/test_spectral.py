@@ -12,12 +12,23 @@ from digrowth import model as M
 from digrowth import spectral as S
 
 
+def _entry_major(A):
+    """The entry-major stack (n, n, N) of a stack of matrices (N, n, n)."""
+    return np.ascontiguousarray(A.transpose(1, 2, 0))
+
+
+def _matrix_major(E):
+    """The stack of matrices (N, n, n) of an entry-major stack (n, n, N)."""
+    return E.transpose(2, 0, 1)
+
+
 def _expm(A):
     """e^A of one matrix or of each matrix of a stack, E e^l from
     ``expm_stack_scaled``, NaN where it marks a matrix broken."""
     A = np.asarray(A, dtype=float)
-    E, l, broken = S.expm_stack_scaled(A.reshape(-1, *A.shape[-2:]))
-    E *= np.exp(l)[:, None, None]
+    E, l, broken = S.expm_stack_scaled(
+        _entry_major(A.reshape(-1, *A.shape[-2:])))
+    E = _matrix_major(E * np.exp(l))
     E[broken] = np.nan
     return E.reshape(A.shape)
 
@@ -80,13 +91,21 @@ def test_expm_stack_exact_cases(rng):
 
 
 def test_expm_stack_slices_are_batch_independent(rng):
-    A = np.concatenate([_expm_test_stack(rng, 3),
-                        50.0 * rng.uniform(-1.0, 1.0, (8, 3, 3))])
-    E, l, broken = S.expm_stack_scaled(A)
-    for c in range(len(A)):
-        e, lc, bc = S.expm_stack_scaled(A[c:c + 1])
-        assert np.array_equal(E[c], e[0])
-        assert (l[c], broken[c]) == (lc[0], bc[0])
+    # each matrix alone against its stack: the test stack with large norms
+    # added for n = 2, 3 and 4, and a stack of 2049 three-patch matrices,
+    # one past a power of two
+    stacks = [np.concatenate([_expm_test_stack(rng, n),
+                              50.0 * rng.uniform(-1.0, 1.0, (8, n, n))])
+              for n in (2, 3, 4)]
+    big = rng.uniform(0.0, 1.0, (2049, 3, 3)) - 2.0 * np.eye(3)
+    stacks.append(big * 10.0 ** rng.uniform(-3.0, 2.5, (2049, 1, 1)))
+    for A in stacks:
+        A = _entry_major(A)
+        E, l, broken = S.expm_stack_scaled(A)
+        for c in range(A.shape[2]):
+            e, lc, bc = S.expm_stack_scaled(A[:, :, c:c + 1])
+            assert np.array_equal(E[:, :, c], e[:, :, 0])
+            assert (l[c], broken[c]) == (lc[0], bc[0])
 
 
 def test_expm_empty_stack():
@@ -122,7 +141,7 @@ def test_perron_root_of_a_one_way_cycle_does_not_warn():
         A = mdl.growth.average() + m * mdl.migration.average()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            root = S.perron_root(A[None])[0]
+            root = S.perron_root(A[:, :, None])[0]
         assert abs(root + 0.5) <= 4.0 * np.finfo(float).eps * np.abs(A).sum(
             axis=0).max()
 
@@ -132,7 +151,8 @@ def test_perron_frobenius_metzler(rng):
         n = int(rng.integers(2, 6))
         A = rng.uniform(0.1, 2.0, size=(n, n))
         np.fill_diagonal(A, rng.uniform(-5.0, 1.0, size=n))
-        lam, v = S.perron_root(A[None])[0], S.perron_vector(A[None])[0]
+        stack = A[:, :, None]
+        lam, v = S.perron_root(stack)[0], S.perron_vector(stack)[0]
         assert lam == pytest.approx(np.linalg.eigvals(A).real.max(), abs=1e-10)
         assert np.all(v > 0.0)
         assert np.allclose(A @ v, lam * v, atol=1e-8)
@@ -210,9 +230,9 @@ def _factors(rng, K, n, shape=()):
     A = rng.uniform(0.0, 1.0, (K, *shape, n, n))
     idx = np.arange(n)
     A[..., idx, idx] = rng.uniform(-3.0, 1.0, (K, *shape, n))
-    E, l, broken = S.expm_stack_scaled(A.reshape(-1, n, n))
+    E, l, broken = S.expm_stack_scaled(_entry_major(A.reshape(-1, n, n)))
     assert not broken.any()
-    return (E.reshape(K, *shape, n, n),
+    return (E.reshape(n, n, K, *shape),
             l.reshape(K, *shape) + rng.uniform(-50.0, 50.0, (K, *shape)))
 
 
@@ -230,11 +250,12 @@ def test_scaled_product_matches_a_sequential_loop(rng, K):
     n, cells = 3, 5
     E, l = _factors(rng, K, n, (cells,))
     P, logs, broken = S.scaled_product(E, l)
-    assert P.shape == (cells, n, n) and logs.shape == (cells,)
+    assert P.shape == (n, n, cells) and logs.shape == (cells,)
     assert not broken.any()
     for c in range(cells):
-        want, want_log = _sequential_product(E[:, c], l[:, c])
-        _assert_same_product(P[c], logs[c], want, want_log, l[:, c])
+        want, want_log = _sequential_product(_matrix_major(E[:, :, :, c]),
+                                             l[:, c])
+        _assert_same_product(P[:, :, c], logs[c], want, want_log, l[:, c])
 
 
 def test_scaled_product_of_runs_padded_with_identities(rng):
@@ -242,19 +263,21 @@ def test_scaled_product_of_runs_padded_with_identities(rng):
     n, sizes = 4, [1, 9, 3, 6, 2, 8]
     E, l = _factors(rng, max(sizes), n, (len(sizes),))
     for run, size in enumerate(sizes):
-        E[size:, run] = np.eye(n)
+        E[:, :, size:, run] = np.eye(n)[:, :, None]
         l[size:, run] = 0.0
     P, logs, broken = S.scaled_product(E, l)
     assert not broken.any()
     for run, size in enumerate(sizes):
-        want, want_log = _sequential_product(E[:size, run], l[:size, run])
-        _assert_same_product(P[run], logs[run], want, want_log, l[:, run])
+        want, want_log = _sequential_product(
+            _matrix_major(E[:, :, :size, run]), l[:size, run])
+        _assert_same_product(P[:, :, run], logs[run], want, want_log,
+                             l[:, run])
 
 
 @pytest.mark.parametrize("K, zero_at", [(2, 0), (5, 4), (8, 3)])
 def test_scaled_product_of_a_zero_factor_is_broken(rng, K, zero_at):
     E, l = _factors(rng, K, 3, (2,))
-    E[zero_at, 1] = 0.0
+    E[:, :, zero_at, 1] = 0.0
     _, logs, broken = S.scaled_product(E, l)
     assert list(broken) == [False, True]
     assert np.isfinite(logs[0]) and not np.isfinite(logs[1])
@@ -267,7 +290,8 @@ def test_adjugate_solve_matches_lapack():
     B = rng.normal(size=(500, 3, 3))
     want = np.linalg.solve(A, B)
     scale = np.abs(want).max(axis=(1, 2))[:, None, None]
-    assert np.all(np.abs(S._solve3(A, B) - want) <= 1e-15 * scale)
+    got = _matrix_major(S._solve3(_entry_major(A), _entry_major(B)))
+    assert np.all(np.abs(got - want) <= 1e-15 * scale)
 
 
 def test_three_patch_exponential_calls_no_lapack(monkeypatch):

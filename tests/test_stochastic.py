@@ -74,6 +74,26 @@ def test_stationary_reducible_raises():
         S.stationary_distribution(env)
 
 
+def test_environment_laws_are_computed_once(monkeypatch):
+    # the stationary law, the jump laws and the exit scales belong to the
+    # environment: computed at first use, then read by every call
+    env = rotating_three()
+    calls = []
+    stationary = S.stationary_distribution
+    monkeypatch.setattr(S, "stationary_distribution",
+                        lambda e: calls.append(e) or stationary(e))
+    first = S.simulate_lyapunov(env, 0.8, 1.0, 300.0, seed=3)
+    again = S.simulate_lyapunov(env, 0.8, 1.0, 300.0, seed=3)
+    S.stochastic_limits(env, 0.8)
+    assert calls == [env]
+    assert (first.lambda_hat, first.stderr) == (again.lambda_hat, again.stderr)
+    assert np.array_equal(env.stationary, stationary(env))
+    assert not env.stationary.flags.writeable
+    assert env.exit_scales == (1.0, 1.0, 1.0)
+    assert env.jump_cdfs[0] == tuple(S._cdf(np.array([0.0, 0.7, 0.3])))
+    assert env.jump_cdfs[2] == tuple(S._cdf(np.array([0.7, 0.3, 0.0])))
+
+
 def test_environment_validation():
     with pytest.raises(S.StochasticError):
         S.environment([([0.0, 0.0], [[-1.0, -1.0], [1.0, 1.0]])], [[0.0]])
@@ -84,7 +104,7 @@ def test_environment_validation():
 def test_single_state_collapse():
     env = S.environment([([0.5, -1.5], [[-1.0, 2.0], [1.0, -2.0]])], [[0.0]])
     m = 1.3
-    exact = perron_root(env.matrix(0, m)[None])[0]
+    exact = perron_root(env.matrix(0, m)[:, :, None])[0]
     est = S.simulate_lyapunov(env, m, 1.0, 100.0, seed=5)
     assert est.lambda_hat == exact
     lims = S.stochastic_limits(env, m)
@@ -412,7 +432,7 @@ def _simulate_per_dwell(env, m, T, horizon, seed):
     mu = S.stationary_distribution(env)
     rng = np.random.default_rng(seed)
     random, exponential = rng.random, rng.exponential
-    mats = np.stack([env.matrix(s, m) for s in range(env.n_states)])
+    mats = np.stack([env.matrix(s, m) for s in range(env.n_states)], axis=-1)
     scales = (1.0 / -np.diag(env.Q)).tolist()
     jump_cdfs = []
     for s in range(env.n_states):
