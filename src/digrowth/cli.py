@@ -74,15 +74,18 @@ def _resolve_model(ref: str) -> model_mod.PatchModel:
     return model_mod.builtin(ref)
 
 
-def _parse_range(text: str, what: str):
-    """a:b:n -> (a, b, n)."""
+def _parse_range(text: str, what: str, least: int):
+    """a:b:n -> (a, b, n), with n >= least."""
     parts = text.split(":")
     if len(parts) != 3:
         raise UsageError(f"--{what} expects a:b:n")
     try:
-        return float(parts[0]), float(parts[1]), int(parts[2])
+        a, b, n = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError as exc:
         raise UsageError(f"bad --{what}: {exc}") from exc
+    if n < least:
+        raise UsageError(f"--{what} needs a count of at least {least}, got {n}")
+    return a, b, n
 
 
 def _open_out(path):
@@ -168,8 +171,8 @@ def _cmd_limits(args) -> int:
 
 def _cmd_sweep(args) -> int:
     mdl = _resolve_model(args.model)
-    m_lo, m_hi, m_n = _parse_range(args.m_range, "m-range")
-    T_lo, T_hi, T_n = _parse_range(args.T_range, "T-range")
+    m_lo, m_hi, m_n = _parse_range(args.m_range, "m-range", 1)
+    T_lo, T_hi, T_n = _parse_range(args.T_range, "T-range", 1)
     grid = explorer.sweep(mdl, (m_lo, m_hi), (T_lo, T_hi), (m_n, T_n))
     out, close = _open_out(args.out)
     try:
@@ -182,8 +185,8 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_critical(args) -> int:
     mdl = _resolve_model(args.model)
-    m_lo, m_hi, m_n = _parse_range(args.m_range, "m-range")
-    T_lo, T_hi, T_n = _parse_range(args.T_range, "T-range")
+    m_lo, m_hi, m_n = _parse_range(args.m_range, "m-range", 2)
+    T_lo, T_hi, T_n = _parse_range(args.T_range, "T-range", 2)
     curve = explorer.critical_curve(mdl, (m_lo, m_hi), (T_lo, T_hi),
                                     (m_n, T_n), tol=args.tol)
     out, close = _open_out(args.out)
@@ -323,6 +326,10 @@ def _cmd_reproduce(args) -> int:
     if args.figure not in _REPRODUCE:
         raise UsageError(f"unknown figure id {args.figure!r}; choose from "
                          + ", ".join(sorted(_REPRODUCE)))
+    # a critical curve needs a grid of at least 2 x 2 points
+    if args.resolution < 2:
+        raise UsageError(f"--resolution needs at least 2, got "
+                         f"{args.resolution}")
     os.makedirs(args.out_dir, exist_ok=True)
     for producer in _REPRODUCE[args.figure]:
         producer(args.out_dir, args.resolution)

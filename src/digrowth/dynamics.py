@@ -12,19 +12,20 @@ the thousands.  ``growth_rates`` evaluates Lambda over whole arrays of
 Each block forms B = w_k T (R_k + m L_k) for all K segments and all cells
 at once, entry-major as ``spectral`` takes its stacks, (n, n, K, cells),
 and keeps that layout through the exponential, the product and the root,
-with no transpose.  For two patches it takes each segment exponential,
-their product and the final Perron root in closed form, written so that
-no entry is formed as a difference that cancels: no Pade step, no squaring
-and no eigensolver.  For three or more it exponentiates all segments of
-all cells of a block in one ``spectral.expm_stack_scaled`` pass and
-multiplies them in one ``spectral.scaled_product``, one einsum per level
-of pairwise products.  One ``spectral.perron_root`` per block gives the
-roots: for three patches the top root of the characteristic cubic of
-M - tr(M)/3 I in closed form, polished by one Newton step, with one
-``eigvals`` on the few cells whose root is nearly double; for more patches
-one stacked eigensolve.  ``monodromy`` and the scalar ``growth_rate`` run the same
-scaled product on a batch of one, over the model's ``phase0_segments``;
-``growth_rate`` takes the Perron pair of that product by power iteration.
+with no transpose.  It exponentiates all segments of all cells of a block
+in one call: for two patches the closed form ``spectral.expm2_scaled``,
+written so that no entry is formed as a difference that cancels, with no
+Pade step and no squaring; for three or more one
+``spectral.expm_stack_scaled`` pass.  One ``spectral.scaled_product``
+multiplies them, one einsum per level of pairwise products, for every
+patch count.  One ``spectral.perron_root`` per block gives the roots: in
+closed form for two patches; for three the top root of the characteristic
+cubic of M - tr(M)/3 I in closed form, polished by one Newton step, with
+one ``eigvals`` on the few cells whose root is nearly double; for more
+patches one stacked eigensolve.  ``monodromy`` and the scalar
+``growth_rate`` run the same scaled product on a batch of one, over the
+model's ``phase0_segments``; ``growth_rate`` takes the Perron pair of that
+product by power iteration.
 
 The simplex reduction theta = x / sum(x) obeys
 dtheta/dt = A theta - <A theta, 1> theta and has a unique globally attracting
@@ -126,7 +127,10 @@ def _monodromy_scaled(model: PatchModel,
     """(M, logscale) with Phi(T) = e^logscale M: the scaled product of
     ``growth_rates`` on a batch of one.  It runs over the model's
     ``phase0_segments``, with migration-free runs fused but not rotated, so
-    that M is Phi(T) itself and its Perron vector anchors theta*."""
+    that M is Phi(T) itself and its Perron vector anchors theta*.  Raises
+    ValueError unless m and T are finite, as ``growth_rates`` does."""
+    if not (math.isfinite(params.m) and math.isfinite(params.T)):
+        raise ValueError("the monodromy needs finite m and T")
     if model.validation is ValidationStatus.NO_POSITIVE_MONODROMY:
         raise_for_status("non_positive_monodromy")
     logscale, M, broken = _scaled_product(model.phase0_segments,
@@ -177,40 +181,20 @@ def _scaled_product(seg: KernelSegments, m: np.ndarray,
                                             np.ndarray]:
     """(logscale, M, broken) per cell of flat m and T: Phi(T) = e^logscale M
     with M (n, n, cells) the entry-major ordered product of the scaled
-    exponentials of B_k = w_k T (R_k + m L_k) over the kernel segments, of
-    unit max entry, and ``broken`` marking cells whose scaling broke down.
+    exponentials of B_k = w_k T (R_k + m L_k) over the kernel segments,
+    and ``broken`` marking cells whose scaling broke down.
     B is formed entry-major, (n, n, K, cells), and stays so through the
-    exponential, the product and the root.  Two patches take one
-    ``expm2_scaled`` call and multiply in order on the entry arrays of all
-    cells, every entry a sum of nonnegative terms (M = 0 where broken).
-    More take one ``expm_stack_scaled`` call on the (n, n, K * cells) stack
-    and one ``scaled_product`` (M = I where broken), and entries of M above
+    exponential, the product and the root.  One call exponentiates the
+    (n, n, K * cells) stack, ``expm2_scaled`` for two patches and
+    ``expm_stack_scaled`` for more, and one ``scaled_product`` multiplies
+    each cell's K factors.  M = I where broken, and entries of M above
     -1e-13 are rounding and are clipped to 0."""
     n, K, size = seg.R.shape[0], len(seg.widths), len(T)
     with np.errstate(over="ignore"):  # an infinite norm marks the cell
         B = (seg.widths[:, None] * T) * (seg.R[..., None]
                                           + seg.L[..., None] * m)
-    if n == 2:
-        E, l, bad = expm2_scaled(B)
-        (e00, e01), (e10, e11) = E
-        broken = bad.any(axis=0)
-        logscale = l.sum(axis=0)
-        P = np.array((e00[0], e01[0], e10[0], e11[0]))  # rows p, r, r2, q
-        for k in range(K):
-            if k:
-                p, r, r2, q = P
-                P = np.array((e00[k] * p + e01[k] * r2, e00[k] * r + e01[k] * q,
-                              e10[k] * p + e11[k] * r2, e10[k] * r + e11[k] * q))
-            c = P.max(axis=0)
-            # a product that underflowed to 0 is broken; its entries stay 0
-            fail = ~(c > 0.0)
-            broken |= fail
-            c[fail] = np.inf
-            P /= c
-            logscale += np.log(c)
-        # M[i, j] is the row 2 i + j of P
-        return logscale, P.reshape(2, 2, size), broken
-    E, l, bad = expm_stack_scaled(B.reshape(n, n, K * size))
+    expm = expm2_scaled if n == 2 else expm_stack_scaled
+    E, l, bad = expm(B.reshape(n, n, K * size))
     M, logscale, fail = scaled_product(E.reshape(n, n, K, size),
                                        l.reshape(K, size))
     broken = bad.reshape(K, size).any(axis=0) | fail
@@ -245,9 +229,10 @@ def growth_rates(model: PatchModel, m, T) -> tuple[np.ndarray, np.ndarray]:
     go in blocks of _BLOCK_CELLS.  Per block the segment matrices
     A_k = R_k + m L_k of all cells are formed at once, one
     ``_scaled_product`` forms every cell's Phi(T) and one ``perron_root``
-    its root: closed forms on the entry arrays for two patches, so small
-    entries keep their relative accuracy, and for more one stacked Pade-13,
-    one ``scaled_product`` and, for three, the shifted cubic's root.  A
+    its root: for two patches the closed-form exponential and root, so
+    small entries keep their relative accuracy, for more one stacked
+    Pade-13 and, for three, the shifted cubic's root; one
+    ``scaled_product`` for every patch count.  A
     cell's value does not depend on the other cells of the batch.  Any
     other exception propagates.
     """

@@ -270,12 +270,16 @@ def critical_period(model: PatchModel, m: float,
     """Smallest period T with Lambda(m, T) = 0 along a log-spaced scan of
     PERIOD_SCAN_SAMPLES periods, to |Lambda| <= CURVE_TOL.
 
-    Raises NoZeroCrossing when Lambda keeps one sign over the whole range.
+    Raises NoZeroCrossing when Lambda keeps one sign over the whole range,
+    and the error of ``raise_for_status`` when a scan point fails before
+    the root.
     """
     Ts = np.geomspace(T_range[0], T_range[1], PERIOD_SCAN_SAMPLES)
     vals, status = growth_rates(model, m, Ts)
-    for k, (T, v) in enumerate(zip(Ts, vals)):
-        raise_for_status(status[k])
+    # the scan stops at its first failed point
+    failed = np.flatnonzero(status != "ok")
+    stop = failed[0] if failed.size else len(Ts)
+    for k, (T, v) in enumerate(zip(Ts[:stop], vals[:stop])):
         if abs(v) <= CURVE_TOL:
             return float(T)
         if k and (v > 0.0) != (vals[k - 1] > 0.0):
@@ -283,6 +287,7 @@ def critical_period(model: PatchModel, m: float,
                 lambda _, t: _lambdas(model, m, t),
                 [Ts[k - 1]], [T], [vals[k - 1]], [v], CURVE_TOL, BISECT_CAP)
             return float(root)
+    raise_for_status(status)
     raise NoZeroCrossing(f"Lambda({m}, .) keeps one sign on {T_range}")
 
 

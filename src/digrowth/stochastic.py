@@ -22,15 +22,17 @@ the chunk from a cumulative sum, which adds in the loop's order.  The
 chunk's flows are formed in one pass, each as e^l E: for two patches by
 the closed form ``spectral.expm2_scaled``, with no Padé step or squaring,
 and for more by ``spectral.expm_stack_scaled``, E of unit max entry, so
-long dwells and defective matrices need no special path.  Both return the
-entry-major stack (n, n, dwells) that ``spectral.scaled_product`` takes,
-and the state matrices are stored that way, so no flow is transposed.  An
+long dwells and defective matrices need no special path.  Every stack
+the chunk hands ``spectral`` is a C-contiguous entry-major array
+(n, n, ...): the state matrices are stored that way, and the dwells'
+matrices and the batches' runs of flows are gathered from them by
+``np.take`` along the stack axis, which keeps that layout.  An
 environment's stationary law, jump laws and exit scales are cached
-properties, computed at its first call.  The runs of
-flows of the chunk's batches, padded with identities to the longest run,
-are multiplied in one ``spectral.scaled_product`` call, pairwise and
-rescaled with their logs kept apart, and the population vector takes one
-product per batch.
+properties, computed at its first call.  The runs of flows of the chunk's
+batches, bounded by one ``searchsorted`` and padded with identities to
+the longest run, are multiplied in one ``spectral.scaled_product`` call,
+pairwise and rescaled with their logs kept apart, and the population
+vector takes one product per batch, in Python floats.
 """
 
 from __future__ import annotations
@@ -52,7 +54,7 @@ MIN_JUMPS = 100
 BATCHES = 20
 DEFAULT_SEED = 20260826
 # cap on the expected jumps of one simulate_lyapunov call, horizon times the
-# largest exit rate over T: 3 to 8 min at 1.7 to 4.7 us per jump (medians
+# largest exit rate over T: 3 to 7 min at 1.6 to 4.1 us per jump (medians
 # of eight calls of 1e4 jumps, T from 0.01 to 100, in four runs on a shared
 # 2-core host, one BLAS thread), and far below the 2^53 mean dwells past
 # which t += dt stops advancing the clock
@@ -198,37 +200,49 @@ def _carry(mats: np.ndarray, states: list[int], dts: np.ndarray,
     belongs to batch ``owners[i]`` (nondecreasing).  Each batch's
     log-growth over the chunk is added to ``batch_logs``.
 
-    ``mats`` holds the state matrices entry-major, (n, n, states).  One
-    call gives every e^{A_s dt} = e^l E of the chunk, entry-major: for two
-    patches ``expm2_scaled``, in closed form, and for more
-    ``expm_stack_scaled``.  Each batch's run of factors is padded with
-    identities to the longest run, and one ``scaled_product`` call
-    multiplies all runs, later factor on the left.  x then takes one matvec
-    per batch.  The padded stack holds (batches in the chunk) x (longest
-    run) factors.
+    ``mats`` holds the state matrices entry-major, (n, n, states), and
+    every stack below is a C-contiguous entry-major array: ``np.take``
+    along the stack axis keeps that layout, where an advanced index on it
+    would return the stack matrix-major.  One call gives every
+    e^{A_s dt} = e^l E of the chunk: for two patches ``expm2_scaled``, in
+    closed form, and for more ``expm_stack_scaled``.  The batches from the
+    first owner to the last each take a run of consecutive dwells, found by
+    one ``searchsorted``; each run of factors is padded with the identity
+    to the longest run, and one ``scaled_product`` call multiplies all
+    runs, later factor on the left, into a stack (n, n, runs).  x then
+    takes one matvec per batch that starts a dwell, in Python floats.
     """
-    n = x.size
+    n, D = x.size, len(dts)
     with np.errstate(over="ignore"):  # an infinite norm marks the flow
-        B = mats[:, :, states] * dts
+        B = np.take(mats, states, axis=2) * dts
     E, l, broken = (expm2_scaled if n == 2 else expm_stack_scaled)(B)
     if broken.any():
         raise StochasticError("trajectory left the positive cone")
-    starts = np.flatnonzero(np.diff(owners, prepend=-1))
-    sizes = np.diff(starts, append=len(owners))
-    # factor j of run i sits at starts[i] + j; the identity past its end
-    col = np.arange(sizes.max())[:, None]
-    take = np.where(col < sizes, starts + col, len(owners))
+    # batch k's dwells are bounds[k - k0] up to bounds[k - k0 + 1]; a batch
+    # that one long dwell spans starts none, and its run is empty
+    k0 = int(owners[0])
+    bounds = owners.searchsorted(np.arange(k0, owners[-1] + 2))
+    starts, ends = bounds[:-1], bounds[1:]
+    # factor j of run i sits at starts[i] + j; the identity, at D, past its end
+    take = starts + np.arange((ends - starts).max())[:, None]
+    take[take >= ends] = D
     E = np.concatenate([E, np.eye(n)[:, :, None]], axis=2)
-    P, logs, _ = scaled_product(E[:, :, take], np.append(l, 0.0)[take])
-    for run, k in enumerate(owners[starts].tolist()):
-        x = P[:, :, run] @ x
-        norm = x.sum()
-        gain = logs[run] + math.log(norm) if norm > 0.0 else math.nan
+    P, logs, _ = scaled_product(np.take(E, take, axis=2),
+                                np.append(l, 0.0)[take])
+    runs = np.flatnonzero(ends > starts)
+    gains = []
+    x = x.tolist()
+    for Pr, lg in zip(np.take(P, runs, axis=2).transpose(2, 0, 1).tolist(),
+                      logs[runs].tolist()):
+        x = [sum([a * b for a, b in zip(row, x)]) for row in Pr]
+        norm = sum(x)
+        gain = lg + math.log(norm) if norm > 0.0 else math.nan
         if not math.isfinite(gain):
             raise StochasticError("trajectory left the positive cone")
-        batch_logs[k] += gain
-        x /= norm
-    return x
+        gains.append(gain)
+        x = [v / norm for v in x]
+    batch_logs[k0 + runs] += gains
+    return np.array(x)
 
 
 def simulate_lyapunov(env: MarkovEnvironment, m: float, T: float,

@@ -333,6 +333,48 @@ def test_lambda_overflowing_period_is_a_numerical_error(capsys):
     assert json.loads(err)["error"] == "numerical"
 
 
+@pytest.mark.parametrize("option", ["--T", "--m"])
+def test_lambda_non_finite_input_is_a_usage_error(capsys, option):
+    # growth_rates rejects the same input with a ValueError
+    argv = {"--m": "1", "--T": "5", option: "inf"}
+    code, out, err = run(capsys, "lambda", "ab1",
+                         *[x for kv in argv.items() for x in kv])
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "usage"
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["sweep", "ab1", "--m-range", "1e-2:1e2:0", "--T-range", "1:2:3"],
+     "--m-range"),
+    (["sweep", "ab1", "--m-range", "1e-2:1e2:3", "--T-range", "1:2:-1"],
+     "--T-range"),
+    (["critical", "ab1", "--m-range", "1e-2:1e2:1", "--T-range", "1:2:8"],
+     "--m-range"),
+    (["critical", "ab1", "--m-range", "1e-2:1e2:8", "--T-range", "1:2:1"],
+     "--T-range"),
+    (["reproduce", "fig2", "--resolution", "0"], "--resolution"),
+    (["reproduce", "fig2", "--resolution", "1"], "--resolution"),
+])
+def test_degenerate_grid_sizes_are_usage_errors(capsys, tmp_path, argv, flag):
+    # a sweep needs one point per axis; a curve and a figure two
+    out_dir = tmp_path / "out"
+    if argv[0] == "reproduce":
+        argv = argv + ["--out-dir", str(out_dir)]
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    doc = json.loads(err)
+    assert doc["error"] == "usage" and flag in doc["message"]
+    assert not out_dir.exists()
+
+
+def test_sweep_of_one_point(capsys):
+    code, out, _ = run(capsys, "sweep", "ab1", "--m-range", "1:1:1",
+                       "--T-range", "2:2:1")
+    assert code == 0
+    assert out.splitlines()[0] == "m,T,lambda,status"
+    assert len(out.splitlines()) == 2
+
+
 def test_runtime_loads_no_scipy():
     # the package runs on NumPy alone; scipy is only a test reference
     probe = ("import sys, digrowth, digrowth.cli; "

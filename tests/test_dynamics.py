@@ -64,6 +64,22 @@ def test_growth_rate_requires_positive_m():
         D.growth_rate(M.builtin("ab1"), P(0.0, 1.0))
 
 
+@pytest.mark.parametrize("m, T", [(1.0, np.inf), (np.inf, 1.0),
+                                  (np.inf, np.inf)])
+def test_scalar_lambda_rejects_non_finite_m_and_T(m, T):
+    # the ValueError of growth_rates on the same input, not a product that
+    # broke down; a finite T that overflows stays an IntegrationFailure
+    mdl = M.builtin("ab1")
+    with pytest.raises(ValueError):
+        D.growth_rates(mdl, m, T)
+    with pytest.raises(ValueError):
+        D.growth_rate(mdl, P(m, T))
+    with pytest.raises(ValueError):
+        D.monodromy(mdl, P(m, T))
+    with pytest.raises(D.IntegrationFailure):
+        D.growth_rate(mdl, P(1.0, 1e308))
+
+
 def test_growth_rate_equal_rates_is_mean():
     # identical rates on every patch: migration is neutral, Lambda = rbar
     growth = M.PeriodicMatrixFunction.from_segments(

@@ -178,6 +178,28 @@ def test_critical_period_matches_curve():
     assert abs(growth_rate(mdl, ModelParameters(0.3, Tc)).lam) <= 1e-8
 
 
+def test_critical_period_fails_only_before_its_root(monkeypatch):
+    # a scan up to T = 1e308 fails at its last point, where T (R + m L)
+    # overflows: at m = 0.3 the root comes first and is returned; at m = 2
+    # Lambda keeps one sign up to the failed point, whose error is raised
+    # after one status check of the whole scan
+    ab1 = M.builtin("ab1")
+    Ts = np.geomspace(0.1, 1e308, explorer.PERIOD_SCAN_SAMPLES)
+    for m in (0.3, 2.0):
+        _, status = dynamics.growth_rates(ab1, m, Ts)
+        assert status[-1] == "error" and np.all(status[:-1] == "ok")
+    Tc = explorer.critical_period(ab1, 0.3, (0.1, 1e308))
+    assert Tc < 1e3
+    assert abs(growth_rate(ab1, ModelParameters(0.3, Tc)).lam) <= 1e-8
+    checks = []
+    check = explorer.raise_for_status
+    monkeypatch.setattr(explorer, "raise_for_status",
+                        lambda status: checks.append(status) or check(status))
+    with pytest.raises(dynamics.IntegrationFailure):
+        explorer.critical_period(ab1, 2.0, (0.1, 1e308))
+    assert len(checks) == 1
+
+
 def test_classify_case1():
     verdict = explorer.classify_dig(M.builtin("ab1"))
     assert verdict.case == "Case1"

@@ -7,10 +7,10 @@ from bisect import bisect_right
 import numpy as np
 import pytest
 import scipy.linalg
-from conftest import pade_exponentials
+from conftest import pade_exponentials, random_model
 from hypothesis import given, settings, strategies as st
 
-from digrowth import stochastic as S
+from digrowth import dynamics, model as M, stochastic as S
 from digrowth.spectral import perron_root
 
 L_SYM = [[-1.0, 1.0], [1.0, -1.0]]
@@ -517,3 +517,67 @@ def test_closed_form_flows_match_pade(monkeypatch, env, T):
         assert got.renormalizations == want.renormalizations
         assert abs(got.lambda_hat - want.lambda_hat) <= 1e-13
         assert abs(got.stderr - want.stderr) <= max(1e-9 * want.stderr, 1e-12)
+
+
+def test_stacks_reach_the_primitives_c_contiguous(monkeypatch):
+    # the primitives' einsum loops and reductions run along the stack axis
+    # of an entry-major (n, n, ...) array.  An advanced index on that axis
+    # returns the stack matrix-major, with strides that cross it, so every
+    # array the simulator and the kernel hand them must be C-contiguous
+    names = ("expm2_scaled", "expm_stack_scaled", "scaled_product",
+             "perron_root")
+    seen = set()
+
+    def contiguous(mod, name):
+        f = getattr(mod, name)
+
+        def wrapped(*args):
+            for a in args:
+                assert a.flags.c_contiguous, (mod.__name__, name, a.strides)
+            seen.add((mod.__name__, name))
+            return f(*args)
+        return wrapped
+
+    for mod in (S, dynamics):
+        for name in names:
+            monkeypatch.setattr(mod, name, contiguous(mod, name))
+    for env in (pm1_twin(), rotating_three()):
+        for T in (0.05, 5.0):
+            S.simulate_lyapunov(env, 0.8, T, 600.0 * T, seed=11)
+    mv, Tv = np.geomspace(0.05, 20.0, 5), np.geomspace(1e-2, 50.0, 5)
+    for mdl in (M.builtin("ab1"), M.builtin("fainshil"),
+                random_model(np.random.default_rng(44), n=4)):
+        dynamics.growth_rates(mdl, mv[:, None], Tv[None, :])
+    assert seen == {(S.__name__, "expm2_scaled"),
+                    (S.__name__, "expm_stack_scaled"),
+                    (S.__name__, "scaled_product")} | {
+        (dynamics.__name__, name) for name in names}
+
+
+def test_carry_skips_a_batch_that_no_dwell_starts():
+    # a dwell longer than a batch leaves the next batch with no dwell of
+    # its own: it gains nothing, and x and the other batches' gains are
+    # those of the same chunk without that batch
+    env = rotating_three()
+    m = 0.8
+    mats = np.stack([env.matrix(s, m) for s in range(env.n_states)], axis=-1)
+    states = [0, 1, 2, 0, 1, 2, 0]
+    dts = np.array([0.21, 1.75, 0.14, 0.28, 0.07, 0.42, 0.14])
+    x0 = np.full(3, 1.0 / 3.0)
+    want_logs, got_logs = np.zeros(S.BATCHES), np.zeros(S.BATCHES)
+    want = S._carry(mats, states, dts, np.array([3, 3, 4, 4, 4, 5, 5]), x0,
+                    want_logs)
+    got = S._carry(mats, states, dts, np.array([3, 3, 5, 5, 5, 6, 6]), x0,
+                   got_logs)
+    assert np.array_equal(got, want)
+    assert np.array_equal(got_logs[[3, 5, 6]], want_logs[3:6])
+    assert got_logs[4] == 0.0 and not got_logs[7:].any()
+    # against a product of scipy exponentials, run by run
+    y, logs = x0, []
+    for run in ([0, 1], [2, 3, 4], [5, 6]):
+        for i in run:
+            y = scipy.linalg.expm(env.matrix(states[i], m) * dts[i]) @ y
+        logs.append(np.log(y.sum()))
+        y = y / y.sum()
+    assert np.allclose(got, y, rtol=1e-13, atol=0.0)
+    assert np.allclose(got_logs[[3, 5, 6]], logs, rtol=1e-12, atol=1e-14)
