@@ -59,6 +59,8 @@ def chi(model: PatchModel) -> float:
 
 def limit_T0(model: PatchModel, m: float) -> float:
     """Fast regime: Perron root of the period-averaged matrix."""
+    if not 0.0 <= m < np.inf:  # m = 0 is the m -> 0+ limit
+        raise ValueError(f"limit_T0 needs finite m >= 0, got {m}")
     A = model.growth.average() + m * model.migration.average()
     return float(perron_root(A[:, :, None])[0])
 
@@ -74,11 +76,14 @@ def limit_Tinf(model: PatchModel, m: float) -> float:
     and the value is the period average of the pointwise abscissa, which
     is what such a model gets, summed directly.
     """
+    if not 0.0 <= m < np.inf:
+        raise ValueError(f"limit_Tinf needs finite m >= 0, got {m}")
     _, widths, mats = merged_segments(model, m)
     if model.validation is ValidationStatus.IRREDUCIBLE_EVERYWHERE:
-        return float(sum(widths * perron_root(mats.transpose(1, 2, 0))))
+        return float(sum(widths * perron_root(mats)))
     P = None
-    for w, A, reach in zip(widths, mats, model.segment_reach):
+    for k, (w, reach) in enumerate(zip(widths, model.segment_reach)):
+        A = mats[:, :, k]
         same = reach & reach.T  # i and j share a class
         alpha = np.array([perron_root(A[np.ix_(c, c)][:, :, None])[0]
                           for c in same])
@@ -111,11 +116,12 @@ def limit_minf(model: PatchModel) -> float:
     """
     seg = model.segments
     total = 0.0
-    for w, R, L in zip(seg.widths, seg.R, seg.L):
+    for k, (w, r) in enumerate(zip(seg.widths, np.diagonal(seg.R))):
+        L = seg.L[:, :, k]
         if not is_irreducible(L):
             raise ReducibleSegment(
                 "fast-migration limit needs irreducible migration")
-        total += w * float(kernel_vector(L) @ np.diag(R))
+        total += w * float(kernel_vector(L) @ r)
     return total
 
 
@@ -187,10 +193,9 @@ def two_patch_closed_forms(model: PatchModel, m: float) -> dict[str, float]:
                      + np.sqrt(_two_patch_D(rbar[0], rbar[1], l21b, l12b, m)))
               - 0.5 * m * (l12b + l21b))
 
-    seg = model.segments
-    integral = sum(
-        w * np.sqrt(_two_patch_D(R[0, 0], R[1, 1], L[1, 0], L[0, 1], m))
-        for w, R, L in zip(seg.widths, seg.R, seg.L))
+    R, L = model.segments.R, model.segments.L
+    integral = sum(model.segments.widths * np.sqrt(
+        _two_patch_D(R[0, 0], R[1, 1], L[1, 0], L[0, 1], m)))
     lam_Tinf = (0.5 * (rbar[0] + rbar[1] + integral)
                 - 0.5 * m * (l12b + l21b))
     return {"lambda_T0": float(lam_T0), "lambda_Tinf": float(lam_Tinf)}

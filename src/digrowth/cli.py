@@ -281,7 +281,7 @@ def _repro_slow_curve(name, model_ref, m, T):
         breaks, _, mats = dynamics.merged_segments(mdl, m)
         # segment k's grid starts at the time breaks[k] * T exactly
         seg = np.searchsorted(breaks * T, traj.times, side="right") - 1
-        slow = spectral.perron_vector(mats.transpose(1, 2, 0))[seg]
+        slow = spectral.perron_vector(mats)[seg]
         rows = [[_fmt(t / T)] + [_fmt(x) for x in theta + v]
                 for t, theta, v in zip(traj.times.tolist(),
                                        traj.states.tolist(), slow.tolist())]

@@ -23,9 +23,12 @@ closed form for two patches; for three the top root of the characteristic
 cubic of M - tr(M)/3 I in closed form, polished by one Newton step, with
 one ``eigvals`` on the few cells whose root is nearly double; for more
 patches one stacked eigensolve.  ``monodromy`` and the scalar
-``growth_rate`` run the same scaled product on a batch of one, over the
-model's ``phase0_segments``; ``growth_rate`` takes the Perron pair of that
-product by power iteration.
+``growth_rate`` run the same scaled product on a batch of one, and
+``growth_rate`` takes the Perron pair of that product by power iteration.
+Where a migration-free run wraps the period end, ``kernel_segments`` start
+at its first break phi > 0 and the product is Phi(T) from phase phi,
+D^-1 Phi(T) D with D the diagonal growth over [phi, 1): the same root, and
+D turns its Perron vector and entries back into those of Phi(T).
 
 The simplex reduction theta = x / sum(x) obeys
 dtheta/dt = A theta - <A theta, 1> theta and has a unique globally attracting
@@ -43,8 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (KernelSegments, ModelParameters, PatchModel,
-                    ValidationStatus)
+from .model import ModelParameters, PatchModel, Segments, ValidationStatus
 from .spectral import (expm2_scaled, expm_stack_scaled, kernel_vector,
                        perron_positive, perron_root, perron_vector,
                        scaled_product)
@@ -108,44 +110,45 @@ class SlowCurveReport:
     n_compared: int
 
 
-def merged_segments(model: PatchModel, m):
-    """(breaks, widths, A) of the model's segments, A_k = R_k + m L_k.
-
-    For a scalar m, A has shape (K, n, n); for a 1-D array of m values it
-    has shape (K, len(m), n, n).
-    """
+def merged_segments(model: PatchModel, m: float):
+    """(breaks, widths, A) of the model's segments, A_k = R_k + m L_k,
+    entry-major: A has shape (n, n, K)."""
     seg = model.segments
-    m = np.asarray(m, dtype=float)
-    axes = tuple(range(1, 1 + m.ndim))
-    A = (np.expand_dims(seg.R, axes)
-         + m[..., None, None] * np.expand_dims(seg.L, axes))
-    return seg.breaks, seg.widths, A
+    return seg.breaks, seg.widths, seg.R + m * seg.L
 
 
-def _monodromy_scaled(model: PatchModel,
-                      params: ModelParameters) -> tuple[np.ndarray, float]:
-    """(M, logscale) with Phi(T) = e^logscale M: the scaled product of
-    ``growth_rates`` on a batch of one.  It runs over the model's
-    ``phase0_segments``, with migration-free runs fused but not rotated, so
-    that M is Phi(T) itself and its Perron vector anchors theta*.  Raises
-    ValueError unless m and T are finite, as ``growth_rates`` does."""
+def _monodromy_scaled(model: PatchModel, params: ModelParameters):
+    """(M, logscale, d) with Phi(T) = e^logscale D M D^-1, D = diag(e^d):
+    the scaled product of ``growth_rates`` on a batch of one, over the
+    model's ``kernel_segments`` from their first break phi.  Where phi > 0
+    every merged segment from phi to 1 is migration-free, so Phi over that
+    stretch is D, with d = T sum_k w_k r_k over it.  Where phi = 0, d is
+    None and e^logscale M is Phi(T) itself.  Raises ValueError unless m and
+    T are finite, as ``growth_rates`` does."""
     if not (math.isfinite(params.m) and math.isfinite(params.T)):
         raise ValueError("the monodromy needs finite m and T")
     if model.validation is ValidationStatus.NO_POSITIVE_MONODROMY:
         raise_for_status("non_positive_monodromy")
-    logscale, M, broken = _scaled_product(model.phase0_segments,
-                                          np.array([params.m]),
+    seg = model.kernel_segments
+    logscale, M, broken = _scaled_product(seg, np.array([params.m]),
                                           np.array([params.T]))
     if broken[0]:
         raise_for_status("error")
-    return M[:, :, 0], float(logscale[0])
+    d = None
+    if seg.breaks[0] > 0.0:
+        full = model.segments
+        tail = full.breaks >= seg.breaks[0]
+        d = params.T * (full.widths[tail] @ np.diagonal(full.R[:, :, tail]))
+    return M[:, :, 0], float(logscale[0]), d
 
 
 def monodromy(model: PatchModel, params: ModelParameters) -> np.ndarray:
     """Phi(T) over one period.  May overflow for extreme Lambda*T; the growth
     rate itself is always computed from the internally scaled representation.
     """
-    M, logscale = _monodromy_scaled(model, params)
+    M, logscale, d = _monodromy_scaled(model, params)
+    if d is not None:
+        M = M * np.exp(d[:, None] - d[None, :])
     return M * math.exp(logscale) if logscale < 700.0 else M * np.exp(logscale)
 
 
@@ -153,10 +156,15 @@ def growth_rate(model: PatchModel, params: ModelParameters) -> GrowthResult:
     """Lambda(m, T) = ln(mu)/T from the Perron root mu of Phi(T)."""
     if params.m <= 0.0:
         raise ValueError("growth_rate needs m > 0; use the m->0 limit instead")
-    M, logscale = _monodromy_scaled(model, params)
+    M, logscale, d = _monodromy_scaled(model, params)
     lam_M, pi = perron_positive(M)
     if lam_M <= 0.0:
         raise_for_status("error")
+    if d is not None:  # pi is the Perron vector of D^-1 Phi(T) D
+        with np.errstate(divide="ignore"):
+            log_pi = d + np.log(pi)
+        pi = np.exp(log_pi - log_pi.max())
+        pi /= pi.sum()
     log_mu = logscale + math.log(lam_M)
     value = log_mu / params.T
     mu = math.exp(log_mu) if log_mu < 709.0 else math.inf
@@ -176,7 +184,7 @@ _STATUS_ERRORS = {
 }
 
 
-def _scaled_product(seg: KernelSegments, m: np.ndarray,
+def _scaled_product(seg: Segments, m: np.ndarray,
                     T: np.ndarray) -> tuple[np.ndarray, np.ndarray,
                                             np.ndarray]:
     """(logscale, M, broken) per cell of flat m and T: Phi(T) = e^logscale M
@@ -277,8 +285,8 @@ def growth_rate_oracle(model: PatchModel, params: ModelParameters) -> float:
     _, widths, mats = merged_segments(model, params.m)
     X = np.eye(model.n)
     logscale = 0.0
-    for w, A in zip(widths, mats):
-        TA = params.T * A
+    for k, w in enumerate(widths):
+        TA = params.T * mats[:, :, k]
         nsteps = max(1, math.ceil(RK4_MIN_STEPS * w))
         h = w / nsteps
         for _ in range(nsteps):
@@ -317,7 +325,7 @@ def _segment_grid(model: PatchModel, params: ModelParameters):
     """
     breaks, widths, mats = merged_segments(model, params.m)
     with np.errstate(over="ignore"):  # an infinite need fails below
-        norms = np.abs(mats).sum(axis=1).max(axis=1)
+        norms = np.abs(mats).sum(axis=0).max(axis=0)
         need = np.maximum(np.maximum(
             RK4_MIN_STEPS * widths,
             widths * params.T * norms / (_STEP_BUDGET / 4.0)), 8.0)
@@ -329,25 +337,25 @@ def _segment_grid(model: PatchModel, params: ModelParameters):
         shrink = _MAX_NODES / total
         counts = [max(8, int(c * shrink) + int(c * shrink) % 2) for c in counts]
     with np.errstate(over="ignore"):  # an infinite norm marks the step
-        steps = (widths / counts * params.T)[:, None, None] * mats
-    props, _, broken = expm_stack_scaled(steps.transpose(1, 2, 0))
+        steps = (widths / counts * params.T) * mats
+    props, _, broken = expm_stack_scaled(steps)
     if broken.any():
         raise IntegrationFailure("matrix exponential scaling broke down")
-    return breaks, widths, mats, counts, props.transpose(2, 0, 1)
+    return breaks, widths, counts, props.transpose(2, 0, 1)
 
 
 def _theta_star_segments(model: PatchModel, params: ModelParameters):
     """theta* sampled on the per-segment grids, by exact exponential stepping
     from theta(0) = pi with renormalization at every node.
 
-    Returns (segments, defect) where each segment is (taus, thetas, A_k) and
+    Returns (segments, defect) where each segment is (taus, thetas) and
     thetas has one row per grid node including both segment endpoints.
     """
     res = growth_rate(model, params)
-    breaks, widths, mats, counts, props = _segment_grid(model, params)
+    breaks, widths, counts, props = _segment_grid(model, params)
     theta = res.pi.copy()
     segments = []
-    for b, w, A, nk, P in zip(breaks, widths, mats, counts, props):
+    for b, w, nk, P in zip(breaks, widths, counts, props):
         h = w / nk
         taus = b + h * np.arange(nk + 1)
         thetas = np.empty((nk + 1, model.n))
@@ -356,7 +364,7 @@ def _theta_star_segments(model: PatchModel, params: ModelParameters):
             theta = P @ theta
             theta /= theta.sum()
             thetas[j + 1] = theta
-        segments.append((taus, thetas, A))
+        segments.append((taus, thetas))
     defect = float(np.abs(theta - res.pi).max())
     return segments, defect
 
@@ -367,10 +375,10 @@ def periodic_simplex_solution(model: PatchModel,
     segments, defect = _theta_star_segments(model, params)
     if defect > DEFECT_TOL:
         raise PeriodicityDefectExceeded(f"periodic defect {defect:.3e}")
-    times = np.concatenate([taus[:-1] for taus, _, _ in segments]
+    times = np.concatenate([taus[:-1] for taus, _ in segments]
                            + [np.array([1.0])]) * params.T
     last = segments[-1][1][-1]
-    states = np.vstack([th[:-1] for _, th, _ in segments] + [last[None, :]])
+    states = np.vstack([th[:-1] for _, th in segments] + [last[None, :]])
     return SimplexTrajectory(times=times, states=states, periodic_defect=defect)
 
 
@@ -402,10 +410,10 @@ def growth_rate_integral(model: PatchModel, params: ModelParameters) -> float:
     """Lambda via the integral of r(tau) . theta*(T tau) over one period."""
     segments, _ = _theta_star_segments(model, params)
     total = 0.0
-    for (taus, thetas, _A), R in zip(segments, model.segments.R):
+    for (taus, thetas), r in zip(segments, np.diagonal(model.segments.R)):
         nk = len(taus) - 1
         h = taus[1] - taus[0]
-        g = (np.diag(R) * thetas).sum(axis=1)
+        g = (r * thetas).sum(axis=1)
         total += _simpson_weights(nk, h) @ g
     return float(total)
 
@@ -424,7 +432,7 @@ def growth_rate_h_formula(model: PatchModel, params: ModelParameters) -> float:
     base = float(p @ rbar)
     segments, _ = _theta_star_segments(model, params)
     integral = 0.0
-    for taus, thetas, _A in segments:
+    for taus, thetas in segments:
         nk = len(taus) - 1
         h_step = taus[1] - taus[0]
         hvals = ((thetas @ L.T) * (p / thetas)).sum(axis=1)
@@ -445,11 +453,11 @@ def verify_slow_curve(model: PatchModel,
         raise DynamicsError("slow-curve comparison needs an everywhere-"
                             "irreducible model")
     segments, _ = _theta_star_segments(model, params)
-    jumps = [taus[0] for taus, _, _ in segments]
-    vectors = perron_vector(np.stack([A for _, _, A in segments], axis=-1))
+    jumps = [taus[0] for taus, _ in segments]
+    vectors = perron_vector(merged_segments(model, params.m)[2])
     sup = 0.0
     compared = 0
-    for (taus, thetas, _), v in zip(segments, vectors):
+    for (taus, thetas), v in zip(segments, vectors):
         mask = np.ones(len(taus), dtype=bool)
         for b in jumps + [1.0]:
             mask &= ~((taus >= b - 1e-12) & (taus < b + SLOW_CURVE_LAYER))

@@ -183,6 +183,8 @@ def critical_curve(model: PatchModel,
                    resolution: int | tuple[int, int] = DEFAULT_RESOLUTION,
                    tol: float = CURVE_TOL) -> CriticalCurve:
     """Zero-level set of Lambda(m, T) as refined polyline branches."""
+    if not 0.0 <= tol < np.inf:
+        raise ValueError(f"critical_curve needs finite tol >= 0, got {tol}")
     grid = sweep(model, m_range, T_range, resolution)
     mv, Tv, lam = grid.m_values, grid.T_values, grid.lam
     links = _crossing_links(grid.ok() & np.isfinite(lam), lam > 0.0)

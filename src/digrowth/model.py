@@ -4,8 +4,10 @@ A patch model couples n habitat patches through a 1-periodic, piecewise-constant
 diagonal growth schedule R(tau) and a Metzler migration schedule L(tau) whose
 columns sum to zero.  Each schedule is a :class:`PeriodicMatrixFunction`, a
 list of segments with one matrix each.  The common refinement of the two
-schedules is computed once per model as its :class:`Segments`, which every
-evaluation of the growth rate and its limits iterates.
+schedules is computed once per model as its :class:`Segments`, entry-major
+(n, n, K) as ``spectral`` takes its stacks, which every evaluation of the
+growth rate and its limits reads.  The growth-rate kernel multiplies the
+same type, with each run of migration-free segments fused into one.
 
 The module also ships a catalog of built-in models (two- and three-patch
 examples with exactly rational entries) and a JSON file format with round-trip
@@ -159,68 +161,53 @@ class PeriodicMatrixFunction:
 
 @dataclass(frozen=True)
 class Segments:
-    """Common breakpoint refinement of a model's two schedules.
-
-    On ``[breaks[k], breaks[k] + widths[k])`` the growth matrix is ``R[k]``
-    and the migration matrix ``L[k]``; ``R`` and ``L`` have shape (K, n, n).
-    """
+    """A model's segments: on ``[breaks[k], breaks[k] + widths[k])``, a
+    fraction ``widths[k]`` of the period, the growth matrix is
+    ``R[:, :, k]`` and the migration matrix ``L[:, :, k]``.  ``R`` and
+    ``L`` are entry-major, (n, n, K): entry (i, j) of every segment is one
+    contiguous array, as ``spectral`` takes its stacks.  Read-only."""
 
     breaks: np.ndarray
     widths: np.ndarray
     R: np.ndarray
     L: np.ndarray
 
-
-@dataclass(frozen=True)
-class KernelSegments:
-    """A model's segments as the growth-rate kernel multiplies them: on
-    segment k the growth matrix ``R[:, :, k]`` and the migration matrix
-    ``L[:, :, k]`` hold for a fraction ``widths[k]`` of the period.  ``R``
-    and ``L`` are entry-major, (n, n, K): entry (i, j) of every segment is
-    one contiguous array."""
-
-    widths: np.ndarray
-    R: np.ndarray
-    L: np.ndarray
+    def __post_init__(self):
+        for a in (self.breaks, self.widths, self.R, self.L):
+            a.setflags(write=False)
 
 
-def _fuse(seg: Segments, rotate: bool) -> KernelSegments:
+def _fuse(seg: Segments) -> Segments:
     """``seg`` with each run of consecutive migration-free segments fused
-    into one segment of the run's mean growth.
+    into one segment of the run's mean growth, a run that ends the period
+    joined to the one that starts it.
 
     Their growth matrices are diagonal, so they commute and
     e^{T (w1 R1 + w2 R2)} = e^{T w1 R1} e^{T w2 R2}.  Apart, a patch that
     one of them favours and the next disfavours underflows to 0 in each
-    rescaled factor, and the product with it.  With ``rotate``, a run that
-    ends the period joins the one that starts it: that rotates Phi(T) into
-    a similar matrix with the same root.  Without it the segments still
-    start at phase 0, so the product is Phi(T) itself, and such a run stays
-    split at phase 0.
+    rescaled factor, and the product with it.  Joining a run across the
+    period end rotates the segments to start at the run's first break phi,
+    so their product is Phi(T) from phase phi: a similar matrix with the
+    same root.
     """
-    free = ~seg.L.any(axis=(1, 2))
+    free = ~seg.L.any(axis=(0, 1))
     inner = free[1:] & free[:-1]  # free segment k + 1 follows a free one
-    wraps = bool(rotate and free[0] and free[-1])
-    widths, R, L = seg.widths, seg.R, seg.L
-    if wraps or inner.any():
-        joins = np.concatenate(([wraps], inner))
-        # some segment migrates: a model without migration has no positive
-        # monodromy and never reaches the kernel
-        r = 0
-        if rotate and free[0]:
-            r = (len(free) - np.argmax(~free[::-1])) % len(free)
-        widths, R, L, joins = (np.roll(a, -r, axis=0)
-                               for a in (widths, R, L, joins))
-        starts = np.flatnonzero(~joins)
-        R = np.add.reduceat(widths[:, None, None] * R, starts)
-        widths = np.add.reduceat(widths, starts)
-        R /= widths[:, None, None]
-        L = L[starts]
-    fused = KernelSegments(widths=np.array(widths),
-                           R=np.ascontiguousarray(R.transpose(1, 2, 0)),
-                           L=np.ascontiguousarray(L.transpose(1, 2, 0)))
-    for a in (fused.widths, fused.R, fused.L):
-        a.setflags(write=False)
-    return fused
+    wraps = bool(free[0] and free[-1])
+    if not (wraps or inner.any()):
+        return seg
+    # a wrapping run goes first: it starts after the last segment that
+    # migrates.  Some segment does, since a model without migration has no
+    # positive monodromy and never reaches the kernel
+    r = np.flatnonzero(~free)[-1] + 1 if wraps else 0
+    joins = np.concatenate(([wraps], inner))
+    breaks, widths, joins, R, L = (np.roll(a, -r, axis=-1) for a in (
+        seg.breaks, seg.widths, joins, seg.R, seg.L))
+    starts = np.flatnonzero(~joins)
+    R = np.add.reduceat(widths * R, starts, axis=2)
+    widths = np.add.reduceat(widths, starts)
+    R /= widths
+    return Segments(breaks=breaks[starts], widths=widths, R=R,
+                    L=np.take(L, starts, axis=2))
 
 
 @dataclass(frozen=True)
@@ -258,14 +245,11 @@ class PatchModel:
     def segments(self) -> Segments:
         """The merged segments of growth and migration, built once."""
         breaks = sorted(set(self.growth.breaks) | set(self.migration.breaks))
-        seg = Segments(
+        return Segments(
             breaks=np.array(breaks),
             widths=np.diff(np.array(breaks + [1.0])),
-            R=np.array([self.growth.value(tau) for tau in breaks]),
-            L=np.array([self.migration.value(tau) for tau in breaks]))
-        for a in (seg.breaks, seg.widths, seg.R, seg.L):
-            a.setflags(write=False)
-        return seg
+            R=np.stack([self.growth.value(tau) for tau in breaks], axis=-1),
+            L=np.stack([self.migration.value(tau) for tau in breaks], axis=-1))
 
     @cached_property
     def segment_reach(self) -> np.ndarray:
@@ -274,22 +258,19 @@ class PatchModel:
         R_k + m L_k."""
         from .spectral import reachability  # local import avoids a cycle
 
-        reach = np.array([reachability(L) for L in self.segments.L])
+        L = self.segments.L
+        reach = np.array([reachability(L[:, :, k])
+                          for k in range(L.shape[2])])
         reach.setflags(write=False)
         return reach
 
     @cached_property
-    def kernel_segments(self) -> KernelSegments:
+    def kernel_segments(self) -> Segments:
         """The merged segments with migration-free runs fused, a run that
-        wraps the period end included, built once: what ``growth_rates``
-        multiplies."""
-        return _fuse(self.segments, rotate=True)
-
-    @cached_property
-    def phase0_segments(self) -> KernelSegments:
-        """The merged segments with migration-free runs fused, split at
-        phase 0, built once: their product is Phi(T) itself."""
-        return _fuse(self.segments, rotate=False)
+        wraps the period end included, built once: what the growth-rate
+        kernel multiplies.  Their first break is phase 0 unless such a run
+        wraps."""
+        return _fuse(self.segments)
 
     def rates(self, tau: float) -> np.ndarray:
         """Growth-rate vector r(tau)."""

@@ -97,8 +97,8 @@ def test_criterion_03_switched_counterexample():
         base = M.builtin("fainshil(0,0)")
         _, widths, mats = D.merged_segments(base, 1.0)
         prod = np.eye(3)
-        for w, Amat in zip(widths, mats):
-            prod = expm(w * 2.0 * Amat) @ prod
+        for k, w in enumerate(widths):
+            prod = expm(w * 2.0 * mats[:, :, k]) @ prod
         mu0 = float(np.max(np.linalg.eigvals(prod).real))
         assert mu0 == pytest.approx(1.669, abs=1e-3)
 

@@ -149,8 +149,22 @@ def test_limit_Tinf_of_irreducible_segments_is_the_period_average():
         for m in (0.05, 1.0, 20.0):
             _, widths, mats = D.merged_segments(mdl, m)
             assert A.limit_Tinf(mdl, m) == float(sum(
-                w * perron_root(Ak[:, :, None])[0]
-                for w, Ak in zip(widths, mats)))
+                w * perron_root(mats[:, :, k:k + 1])[0]
+                for k, w in enumerate(widths)))
+
+
+@pytest.mark.parametrize("m", [-1.0, np.nan, np.inf])
+def test_limits_reject_an_invalid_m(m):
+    mdl = M.builtin("ab1")
+    for limit in (A.limit_T0, A.limit_Tinf):
+        with pytest.raises(ValueError):
+            limit(mdl, m)
+
+
+def test_limits_at_m_zero_are_the_m_to_zero_limits():
+    mdl = M.builtin("ab1")
+    assert A.limit_T0(mdl, 0.0) == A.limit_m0(mdl) == -0.25
+    assert A.limit_Tinf(mdl, 0.0) == A.chi(mdl) == 0.5
 
 
 def test_m_star_residual():

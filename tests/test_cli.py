@@ -310,8 +310,9 @@ def _assert_slow_curve_rows(rows, mdl, params):
     ``periodic_simplex_solution``, and the v columns are the Perron vector
     of the segment whose sub-step grid holds the row's node."""
     traj = dynamics.periodic_simplex_solution(mdl, params)
-    _, _, mats, counts, _ = dynamics._segment_grid(mdl, params)
-    vectors = spectral.perron_vector(mats.transpose(1, 2, 0))
+    *_, counts, _ = dynamics._segment_grid(mdl, params)
+    vectors = spectral.perron_vector(
+        dynamics.merged_segments(mdl, params.m)[2])
     own = np.append(np.repeat(np.arange(len(counts)), counts), len(counts) - 1)
     assert len(rows) - 1 == len(traj.states) == len(own)
     n = mdl.n
@@ -339,6 +340,30 @@ def test_lambda_non_finite_input_is_a_usage_error(capsys, option):
     argv = {"--m": "1", "--T": "5", option: "inf"}
     code, out, err = run(capsys, "lambda", "ab1",
                          *[x for kv in argv.items() for x in kv])
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "usage"
+
+
+@pytest.mark.parametrize("m", ["-1", "nan", "inf"])
+def test_limits_at_an_invalid_m_is_a_usage_error(capsys, m):
+    # R + m L at m = -1 is no growth model; m = inf overflowed with a warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "limits", "ab1", "--m", m)
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "usage"
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1", "0"])
+def test_critical_needs_a_finite_nonnegative_tol(capsys, tol):
+    # a tol that |Lambda| never exceeds closed every bracket at once and
+    # wrote unrefined grid-edge vertices; tol 0 refines to a few ulp
+    code, out, err = run(capsys, "critical", "ab1", "--m-range", "0.01:3:8",
+                         "--T-range", "0.5:200:8", "--tol", tol)
+    if tol == "0":
+        assert code == 0 and err == ""
+        assert out.startswith("branch,m,T,nu,lambda_residual")
+        return
     assert code == 2 and out == ""
     assert json.loads(err)["error"] == "usage"
 

@@ -98,38 +98,70 @@ def _model(n, growth, migration):
         M.PeriodicMatrixFunction.from_segments(*migration)))
 
 
+def _free_run_models(n):
+    """(inside, wrapping, mean): migration off on a run of segments whose
+    patches one segment favours and the next disfavours; the same schedule
+    shifted by 0.7, so that the run straddles tau = 0; and the run's mean
+    growth in one segment, which gives the same monodromy."""
+    up, down = np.diag([0.0, 2.0, -2.0][:n]), np.diag([0.0, -2.0, 2.0][:n])
+    on = np.diag([-1.0, 0.0, 0.5][:n])
+    L = np.ones((n, n)) - n * np.eye(n)
+    off = np.zeros((n, n))
+    inside = _model(n, ([0.0, 0.2, 0.5], [up, down, on]),
+                    ([0.0, 0.5], [off, L]))
+    wrapping = _model(n, ([0.0, 0.2, 0.7, 0.9], [down, on, up, down]),
+                      ([0.0, 0.2, 0.7], [off, L, off]))
+    mean = _model(n, ([0.0, 0.5], [(0.2 * up + 0.3 * down) / 0.5, on]),
+                  ([0.0, 0.5], [off, L]))
+    return inside, wrapping, mean
+
+
 @pytest.mark.parametrize("n", [2, 3])
 @pytest.mark.parametrize("wrap", [False, True], ids=["inside", "wrapping"])
 def test_migration_free_run_matches_its_mean_growth(n, wrap):
     # with migration off, a patch favoured on one segment and disfavoured
     # on the next underflows in each rescaled factor; at T = 1e4 their
     # product was 0.  The run's mean growth gives the same monodromy.
-    up, down = np.diag([0.0, 2.0, -2.0][:n]), np.diag([0.0, -2.0, 2.0][:n])
-    on = np.diag([-1.0, 0.0, 0.5][:n])
-    L = np.ones((n, n)) - n * np.eye(n)
-    off = np.zeros((n, n))
-    if wrap:  # the same schedule shifted by 0.7: the run straddles tau = 0
-        mdl = _model(n, ([0.0, 0.2, 0.7, 0.9], [down, on, up, down]),
-                     ([0.0, 0.2, 0.7], [off, L, off]))
-    else:
-        mdl = _model(n, ([0.0, 0.2, 0.5], [up, down, on]),
-                     ([0.0, 0.5], [off, L]))
-    mean = _model(n, ([0.0, 0.5], [(0.2 * up + 0.3 * down) / 0.5, on]),
-                  ([0.0, 0.5], [off, L]))
+    inside, wrapping, mean = _free_run_models(n)
+    mdl = wrapping if wrap else inside
     m = np.array([0.1, 10.0])[:, None]
     T = np.array([1e-2, 1.0, 1e2, 1e4])[None, :]
     lam, status = D.growth_rates(mdl, m, T)
     want, want_status = D.growth_rates(mean, m, T)
     assert np.all(status == "ok") and np.all(want_status == "ok")
     assert np.all(np.abs(lam - want) <= 1e-11)
-    # the scalar path fuses the run too, from phase 0 without rotating, so
-    # a run that wraps the period end stays split there and still breaks
-    # down at T = 1e4
+    # the scalar path fuses the run too, across the period end included
     for i, j in np.ndindex(want.shape):
-        if wrap and T[0, j] > 1e2:
-            continue
         got = D.growth_rate(mdl, ModelParameters(m[i, 0], T[0, j])).lam
         assert abs(got - want[i, j]) <= 1e-11
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_wrapped_run_undoes_its_rotation(n):
+    # the fused run starts the kernel's product at phase 0.7, a matrix
+    # similar to Phi(T) with the same root.  Its Perron vector and entries
+    # differ by the run's growth from 0.7 to 1, which a wrong phase shift
+    # would show only in pi and Phi, not in Lambda
+    _, mdl, _ = _free_run_models(n)
+    assert mdl.kernel_segments.breaks[0] == 0.7
+    seg = mdl.segments
+    for m in (0.1, 1.0, 10.0):
+        for T in (1e-2, 1.0, 10.0, 50.0):
+            params = ModelParameters(m, T)
+            want = np.eye(n)
+            for w, R, L in zip(seg.widths, seg.R.transpose(2, 0, 1),
+                               seg.L.transpose(2, 0, 1)):
+                want = scipy.linalg.expm(w * T * (R + m * L)) @ want
+            phi = D.monodromy(mdl, params)
+            assert np.all(np.abs(phi - want) <= 1e-12 * np.abs(want))
+            ev, V = np.linalg.eig(want)
+            k = np.argmax(ev.real)
+            pi = np.abs(V[:, k].real) / np.abs(V[:, k].real).sum()
+            res = D.growth_rate(mdl, params)
+            assert np.abs(res.pi - pi).max() <= 1e-12, (m, T)
+            assert abs(res.lam - np.log(ev[k].real) / T) <= 1e-12, (m, T)
+        traj = D.periodic_simplex_solution(mdl, ModelParameters(m, 10.0))
+        assert traj.periodic_defect <= D.DEFECT_TOL
 
 
 def test_rejects_nonpositive_m_and_T():
@@ -185,7 +217,8 @@ def test_three_patch_small_period_matches_mpmath(name):
     for mk, got in zip(m, lam):
         with mp.workdps(40):
             phi = mp.eye(3)
-            for w, R, L in zip(seg.widths, seg.R, seg.L):
+            for w, R, L in zip(seg.widths, seg.R.transpose(2, 0, 1),
+                               seg.L.transpose(2, 0, 1)):
                 phi = mp.expm(mp.matrix((R + mk * L).tolist())
                               * (mp.mpf(float(w)) * T)) * phi
             mu = max(mp.re(v) for v in mp.eig(phi, left=False, right=False))
@@ -230,7 +263,8 @@ def test_four_patch_matches_a_per_cell_scipy_product():
     for i, m in enumerate(mv):
         for j, T in enumerate(Tv):
             Phi, log = np.eye(4), 0.0
-            for w, R, L in zip(seg.widths, seg.R, seg.L):
+            for w, R, L in zip(seg.widths, seg.R.transpose(2, 0, 1),
+                               seg.L.transpose(2, 0, 1)):
                 Phi = scipy.linalg.expm(w * T * (R + m * L)) @ Phi
                 c = np.abs(Phi).max()
                 Phi, log = Phi / c, log + np.log(c)

@@ -122,7 +122,9 @@ def test_certificate_matches_sign_of_monodromy(spec):
     mdl = M.PatchModel(n, M.PeriodicMatrixFunction.constant(np.diag(rates)),
                        M.PeriodicMatrixFunction.from_segments(breaks, mats))
     Phi = np.eye(n)
-    for w, R, L in zip(mdl.segments.widths, mdl.segments.R, mdl.segments.L):
+    seg = mdl.segments
+    for w, R, L in zip(seg.widths, seg.R.transpose(2, 0, 1),
+                       seg.L.transpose(2, 0, 1)):
         Phi = _taylor_exp(w * (R + L)) @ Phi
     certified = mdl.validation in (M.ValidationStatus.IRREDUCIBLE_EVERYWHERE,
                                    M.ValidationStatus.POSITIVE_MONODROMY_ONLY)
@@ -152,7 +154,7 @@ def test_builtin_builds_each_model_once():
     assert M.builtin("fainshil(0,0)").name == "fainshil(0.0,0.0)"
     # the shared instance's cached arrays cannot be written
     for arr in (a.segments.R, a.segment_reach, a.kernel_segments.R,
-                a.phase0_segments.L):
+                a.kernel_segments.breaks):
         assert not arr.flags.writeable
 
 
