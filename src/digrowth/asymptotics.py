@@ -24,7 +24,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import search
-from .dynamics import merged_segments
 from .model import PatchModel, ValidationStatus
 from .spectral import is_irreducible, kernel_vector, perron_root
 
@@ -52,16 +51,26 @@ class WrongDimension(AsymptoticsError):
 
 def chi(model: PatchModel) -> float:
     """Period average of the pointwise best growth rate max_i r_i(tau)."""
-    g = model.growth
-    w = g.widths()
-    return float(sum(wk * np.diag(M).max() for wk, M in zip(w, g.matrices)))
+    seg = model.segments
+    return float(np.diagonal(seg.R).max(axis=1) @ seg.widths)
+
+
+def _generator(R: np.ndarray, L: np.ndarray, m: float) -> np.ndarray:
+    """R + m L for a finite m >= 0 (m = 0 is the m -> 0+ limit); ValueError
+    for any other m, or where an entry overflows."""
+    if not 0.0 <= m < np.inf:
+        raise ValueError(f"the limits need finite m >= 0, got {m}")
+    with np.errstate(over="ignore"):
+        A = R + m * L
+    if not np.isfinite(A).all():
+        raise ValueError(f"R + m L overflows at m = {m}")
+    return A
 
 
 def limit_T0(model: PatchModel, m: float) -> float:
     """Fast regime: Perron root of the period-averaged matrix."""
-    if not 0.0 <= m < np.inf:  # m = 0 is the m -> 0+ limit
-        raise ValueError(f"limit_T0 needs finite m >= 0, got {m}")
-    A = model.growth.average() + m * model.migration.average()
+    seg = model.segments
+    A = _generator(seg.R @ seg.widths, seg.L @ seg.widths, m)
     return float(perron_root(A[:, :, None])[0])
 
 
@@ -76,13 +85,12 @@ def limit_Tinf(model: PatchModel, m: float) -> float:
     and the value is the period average of the pointwise abscissa, which
     is what such a model gets, summed directly.
     """
-    if not 0.0 <= m < np.inf:
-        raise ValueError(f"limit_Tinf needs finite m >= 0, got {m}")
-    _, widths, mats = merged_segments(model, m)
+    seg = model.segments
+    mats = _generator(seg.R, seg.L, m)
     if model.validation is ValidationStatus.IRREDUCIBLE_EVERYWHERE:
-        return float(sum(widths * perron_root(mats)))
+        return float(sum(seg.widths * perron_root(mats)))
     P = None
-    for k, (w, reach) in enumerate(zip(widths, model.segment_reach)):
+    for k, (w, reach) in enumerate(zip(seg.widths, model.segment_reach)):
         A = mats[:, :, k]
         same = reach & reach.T  # i and j share a class
         alpha = np.array([perron_root(A[np.ix_(c, c)][:, :, None])[0]
@@ -114,21 +122,19 @@ def limit_minf(model: PatchModel) -> float:
     Needs every migration segment irreducible so its kernel direction p(tau)
     is well defined and positive.
     """
+    if not model.segment_reach.all():
+        raise ReducibleSegment("fast-migration limit needs irreducible migration")
     seg = model.segments
     total = 0.0
     for k, (w, r) in enumerate(zip(seg.widths, np.diagonal(seg.R))):
-        L = seg.L[:, :, k]
-        if not is_irreducible(L):
-            raise ReducibleSegment(
-                "fast-migration limit needs irreducible migration")
-        total += w * float(kernel_vector(L) @ r)
+        total += w * float(kernel_vector(seg.L[:, :, k]) @ r)
     return total
 
 
 def corners(model: PatchModel) -> dict[str, float]:
     """The four corner values of the (m, T) diagram."""
     rbar = model.mean_rates()
-    Lbar = model.migration.average()
+    Lbar = model.segments.L @ model.segments.widths
     if is_irreducible(Lbar):
         q = kernel_vector(Lbar)
         lam_inf0 = float(q @ rbar)
@@ -187,7 +193,7 @@ def two_patch_closed_forms(model: PatchModel, m: float) -> dict[str, float]:
     if model.n != 2:
         raise WrongDimension("closed forms require exactly two patches")
     rbar = model.mean_rates()
-    Lbar = model.migration.average()
+    Lbar = model.segments.L @ model.segments.widths
     l12b, l21b = Lbar[0, 1], Lbar[1, 0]
     lam_T0 = (0.5 * (rbar[0] + rbar[1]
                      + np.sqrt(_two_patch_D(rbar[0], rbar[1], l21b, l12b, m)))
@@ -254,10 +260,9 @@ class LimitPanel:
 def limit_panel(model: PatchModel, m: float | None = None) -> LimitPanel:
     c = corners(model)
     inf_val = None
-    if model.migration.is_constant():
-        L = model.migration.value(0.0)
-        if is_irreducible(L):
-            inf_val = float(kernel_vector(L) @ model.mean_rates())
+    L = model.segments.L
+    if (L == L[:, :, :1]).all() and model.segment_reach.all():
+        inf_val = float(kernel_vector(L[:, :, 0]) @ model.mean_rates())
     try:
         ms = m_star(model)
     except ReducibleSegment:

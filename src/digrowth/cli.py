@@ -3,7 +3,8 @@
 Subcommands: validate, catalog, lambda, limits, sweep, critical, classify,
 simulate, reproduce.  Models are either catalog names (parameters allowed
 inline, e.g. ``pm1(0.5)``) or paths to JSON model files.  All numeric output
-is printed with 15 significant digits; errors go to stderr as JSON objects.
+is printed with 15 significant digits; each error, argparse's included, goes
+to stderr as one JSON object.
 Exit codes: 0 success, 1 internal/numerical error, 2 validation/usage error.
 """
 
@@ -66,6 +67,14 @@ def _fail(code: int, kind: str, message: str) -> int:
 
 class UsageError(Exception):
     pass
+
+
+class _Parser(argparse.ArgumentParser):
+    """A parser, and through ``add_subparsers`` each subcommand's, whose
+    errors raise UsageError, to be reported as one JSON object."""
+
+    def error(self, message):
+        raise UsageError(f"{self.prog}: {message}")
 
 
 def _resolve_model(ref: str) -> model_mod.PatchModel:
@@ -278,10 +287,10 @@ def _repro_slow_curve(name, model_ref, m, T):
         mdl = _resolve_model(model_ref)
         params = model_mod.ModelParameters(m=m, T=T)
         traj = dynamics.periodic_simplex_solution(mdl, params)
-        breaks, _, mats = dynamics.merged_segments(mdl, m)
+        seg = mdl.segments
         # segment k's grid starts at the time breaks[k] * T exactly
-        seg = np.searchsorted(breaks * T, traj.times, side="right") - 1
-        slow = spectral.perron_vector(mats)[seg]
+        k = np.searchsorted(seg.breaks * T, traj.times, side="right") - 1
+        slow = spectral.perron_vector(seg.R + m * seg.L)[k]
         rows = [[_fmt(t / T)] + [_fmt(x) for x in theta + v]
                 for t, theta, v in zip(traj.times.tolist(),
                                        traj.states.tolist(), slow.tolist())]
@@ -340,7 +349,7 @@ def _cmd_reproduce(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="dig",
         description="Growth rates of periodically forced patch populations")
     sub = p.add_subparsers(dest="command", required=True)
@@ -401,16 +410,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 2 if exc.code not in (0, None) else 0
+        args = _build_parser().parse_args(argv)
+    except SystemExit:  # --help has printed
+        return 0
+    except UsageError as exc:
+        return _fail(2, "usage", str(exc))
     try:
         return args.func(args)
-    except (UsageError, model_mod.ModelError) as exc:
-        return _fail(2, "usage", str(exc))
-    except (ValueError,) as exc:
+    except (UsageError, model_mod.ModelError, ValueError) as exc:
         return _fail(2, "usage", str(exc))
     except stochastic.InvalidEnvironment as exc:
         return _fail(2, "validation", str(exc))

@@ -110,13 +110,6 @@ class SlowCurveReport:
     n_compared: int
 
 
-def merged_segments(model: PatchModel, m: float):
-    """(breaks, widths, A) of the model's segments, A_k = R_k + m L_k,
-    entry-major: A has shape (n, n, K)."""
-    seg = model.segments
-    return seg.breaks, seg.widths, seg.R + m * seg.L
-
-
 def _monodromy_scaled(model: PatchModel, params: ModelParameters):
     """(M, logscale, d) with Phi(T) = e^logscale D M D^-1, D = diag(e^d):
     the scaled product of ``growth_rates`` on a batch of one, over the
@@ -282,10 +275,11 @@ def growth_rate_oracle(model: PatchModel, params: ModelParameters) -> float:
     over ORACLE_PERIODS periods with per-period renormalization and log
     accumulation.
     """
-    _, widths, mats = merged_segments(model, params.m)
+    seg = model.segments
+    mats = seg.R + params.m * seg.L
     X = np.eye(model.n)
     logscale = 0.0
-    for k, w in enumerate(widths):
+    for k, w in enumerate(seg.widths):
         TA = params.T * mats[:, :, k]
         nsteps = max(1, math.ceil(RK4_MIN_STEPS * w))
         h = w / nsteps
@@ -323,8 +317,10 @@ def _segment_grid(model: PatchModel, params: ModelParameters):
     segment's sub-step propagator e^{h T A_k} up to a positive factor, all
     from one ``expm_stack_scaled`` call.
     """
-    breaks, widths, mats = merged_segments(model, params.m)
+    seg = model.segments
+    widths = seg.widths
     with np.errstate(over="ignore"):  # an infinite need fails below
+        mats = seg.R + params.m * seg.L
         norms = np.abs(mats).sum(axis=0).max(axis=0)
         need = np.maximum(np.maximum(
             RK4_MIN_STEPS * widths,
@@ -341,7 +337,7 @@ def _segment_grid(model: PatchModel, params: ModelParameters):
     props, _, broken = expm_stack_scaled(steps)
     if broken.any():
         raise IntegrationFailure("matrix exponential scaling broke down")
-    return breaks, widths, counts, props.transpose(2, 0, 1)
+    return seg.breaks, widths, counts, props.transpose(2, 0, 1)
 
 
 def _theta_star_segments(model: PatchModel, params: ModelParameters):
@@ -424,9 +420,10 @@ def growth_rate_h_formula(model: PatchModel, params: ModelParameters) -> float:
     h(x) = sum_i (L x)_i p_i / x_i is nonnegative on the open positive cone,
     which is rechecked pointwise along theta*.
     """
-    if not model.migration.is_constant():
+    L = model.segments.L
+    if not (L == L[:, :, :1]).all():
         raise NonConstantMigration("h-formula requires time-independent migration")
-    L = model.migration.value(0.0)
+    L = L[:, :, 0]
     p = kernel_vector(L)
     rbar = model.mean_rates()
     base = float(p @ rbar)
@@ -454,7 +451,8 @@ def verify_slow_curve(model: PatchModel,
                             "irreducible model")
     segments, _ = _theta_star_segments(model, params)
     jumps = [taus[0] for taus, _ in segments]
-    vectors = perron_vector(merged_segments(model, params.m)[2])
+    seg = model.segments
+    vectors = perron_vector(seg.R + params.m * seg.L)
     sup = 0.0
     compared = 0
     for (taus, thetas), v in zip(segments, vectors):

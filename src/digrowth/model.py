@@ -2,12 +2,16 @@
 
 A patch model couples n habitat patches through a 1-periodic, piecewise-constant
 diagonal growth schedule R(tau) and a Metzler migration schedule L(tau) whose
-columns sum to zero.  Each schedule is a :class:`PeriodicMatrixFunction`, a
-list of segments with one matrix each.  The common refinement of the two
-schedules is computed once per model as its :class:`Segments`, entry-major
-(n, n, K) as ``spectral`` takes its stacks, which every evaluation of the
-growth rate and its limits reads.  The growth-rate kernel multiplies the
-same type, with each run of migration-free segments fused into one.
+columns sum to zero.  Each schedule is parsed input, a
+:class:`PeriodicMatrixFunction` with one matrix per segment, read by JSON
+I/O, model equality and the sign and column-sum checks of ``validate``.
+The numerics read a model only through ``PatchModel.segments``: the common
+refinement of the two schedules as one :class:`Segments`, entry-major
+(n, n, K) as ``spectral`` takes its stacks, built once per model, with each
+segment's reachability closure cached beside it as ``segment_reach``.
+Period averages are ``R @ widths`` and ``L @ widths``.  The growth-rate
+kernel multiplies the same type, with each run of migration-free segments
+fused into one.
 
 The module also ships a catalog of built-in models (two- and three-patch
 examples with exactly rational entries) and a JSON file format with round-trip
@@ -100,10 +104,10 @@ def _as_breaks(breaks: Sequence[float]) -> tuple[float, ...]:
 
 @dataclass(frozen=True)
 class PeriodicMatrixFunction:
-    """1-periodic piecewise-constant matrix-valued function.
+    """1-periodic piecewise-constant matrix-valued function, as parsed.
 
     ``matrices[k]`` holds on ``[breaks[k], breaks[k+1])`` (right-continuous,
-    last segment wraps to 1).
+    last segment wraps to 1).  The numerics read ``PatchModel.segments``.
     """
 
     n: int
@@ -128,28 +132,9 @@ class PeriodicMatrixFunction:
             M.setflags(write=False)
         return PeriodicMatrixFunction(n=n, breaks=b, matrices=mats)
 
-    @property
-    def n_segments(self) -> int:
-        return len(self.breaks)
-
-    def widths(self) -> np.ndarray:
-        ends = list(self.breaks[1:]) + [1.0]
-        return np.array(ends) - np.array(self.breaks)
-
-    def segment_index(self, tau: float) -> int:
-        tau = tau % 1.0
-        return int(np.searchsorted(self.breaks, tau, side="right") - 1)
-
     def value(self, tau: float) -> np.ndarray:
-        return self.matrices[self.segment_index(tau)]
-
-    def is_constant(self) -> bool:
-        return all(np.array_equal(M, self.matrices[0]) for M in self.matrices[1:])
-
-    def average(self) -> np.ndarray:
-        """Entrywise period average, exact segment by segment."""
-        w = self.widths()
-        return sum(wk * M for wk, M in zip(w, self.matrices))
+        return self.matrices[np.searchsorted(self.breaks, tau % 1.0,
+                                             side="right") - 1]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PeriodicMatrixFunction):
@@ -278,7 +263,7 @@ class PatchModel:
 
     def mean_rates(self) -> np.ndarray:
         """Per-patch average growth rates."""
-        return np.diag(self.growth.average())
+        return np.diag(self.segments.R @ self.segments.widths)
 
     def all_sinks(self) -> bool:
         return bool(np.all(self.mean_rates() < 0.0))
@@ -288,17 +273,15 @@ def validate(model: PatchModel) -> ValidationReport:
     """Check migration sign/column-sum constraints and classify the model.
 
     For m, t > 0 the zero pattern of e^{t(R_k + m L_k)} is the reachability
-    closure of L_k, so the monodromy's pattern at every m, T > 0 is the
-    Boolean product of the closures in segment order.  IrreducibleEverywhere:
-    every closure is full.  Else PositiveMonodromyOnly if the product is
-    full (the growth rate exists), NoPositiveMonodromy if not.  Entries at
-    or below ``spectral.EDGE_TOL`` are structural zeros.
+    closure of L_k (``PatchModel.segment_reach``), so the monodromy's
+    pattern at every m, T > 0 is the Boolean product of the closures in
+    segment order.  IrreducibleEverywhere: every closure is full.  Else
+    PositiveMonodromyOnly if the product is full (the growth rate exists),
+    NoPositiveMonodromy if not.  Entries at or below ``spectral.EDGE_TOL``
+    are structural zeros.  Each ValidationIssue names a segment of the
+    migration schedule.
     """
-    from .spectral import reachability  # local import avoids a cycle
-
     issues: list[ValidationIssue] = []
-    irreducible = True
-    pattern = np.eye(model.n, dtype=bool)
     for k, L in enumerate(model.migration.matrices):
         off = L - np.diag(np.diag(L))
         bad = np.argwhere(off < 0.0)
@@ -309,14 +292,13 @@ def validate(model: PatchModel) -> ValidationReport:
             if abs(s) > COLUMN_SUM_TOL:
                 issues.append(ValidationIssue("ColumnSumViolation", k, int(j),
                                               residual=float(s)))
-        reach = reachability(L)
-        irreducible &= bool(reach.all())
-        pattern = reach @ pattern
-
     if issues:
         return ValidationReport(ValidationStatus.INVALID, tuple(issues))
-    if irreducible:
+    if model.segment_reach.all():
         return ValidationReport(ValidationStatus.IRREDUCIBLE_EVERYWHERE)
+    pattern = np.eye(model.n, dtype=bool)
+    for reach in model.segment_reach:
+        pattern = reach @ pattern
     if pattern.all():
         return ValidationReport(ValidationStatus.POSITIVE_MONODROMY_ONLY)
     return ValidationReport(ValidationStatus.NO_POSITIVE_MONODROMY)

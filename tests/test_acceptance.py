@@ -95,9 +95,10 @@ def test_criterion_03_switched_counterexample():
         assert res.lam == pytest.approx(0.5 * np.log(res.mu), abs=1e-12)
         # unperturbed endpoint: dominant root of the two-segment product
         base = M.builtin("fainshil(0,0)")
-        _, widths, mats = D.merged_segments(base, 1.0)
+        seg = base.segments
+        mats = seg.R + 1.0 * seg.L
         prod = np.eye(3)
-        for k, w in enumerate(widths):
+        for k, w in enumerate(seg.widths):
             prod = expm(w * 2.0 * mats[:, :, k]) @ prod
         mu0 = float(np.max(np.linalg.eigvals(prod).real))
         assert mu0 == pytest.approx(1.669, abs=1e-3)

@@ -147,13 +147,14 @@ def test_limit_Tinf_of_irreducible_segments_is_the_period_average():
         if mdl.validation is not M.ValidationStatus.IRREDUCIBLE_EVERYWHERE:
             continue
         for m in (0.05, 1.0, 20.0):
-            _, widths, mats = D.merged_segments(mdl, m)
+            seg = mdl.segments
+            mats = seg.R + m * seg.L
             assert A.limit_Tinf(mdl, m) == float(sum(
                 w * perron_root(mats[:, :, k:k + 1])[0]
-                for k, w in enumerate(widths)))
+                for k, w in enumerate(seg.widths)))
 
 
-@pytest.mark.parametrize("m", [-1.0, np.nan, np.inf])
+@pytest.mark.parametrize("m", [-1.0, np.nan, np.inf, 1e308])
 def test_limits_reject_an_invalid_m(m):
     mdl = M.builtin("ab1")
     for limit in (A.limit_T0, A.limit_Tinf):
@@ -239,3 +240,43 @@ def test_limit_panel_fields():
     assert panel.infimum == pytest.approx(-1.0 / 3.0, abs=1e-12)
     assert panel.m_star == pytest.approx(5.0 / 9.0, abs=1e-12)
     assert panel.lambda_m_T0 is not None and panel.lambda_m_Tinf is not None
+
+
+# ab1's growth (breaks 0, 1/2) under migration with breaks 0, 1/4, 3/4: the
+# quarters pair (R1, L0), (R1, L1), (R2, L1), (R2, L2), and every width and
+# entry is dyadic, so the period averages are exact
+_R_MIXED = [np.diag([0.5, -1.5]), np.diag([-1.0, 0.5])]
+_L_MIXED = [np.array([[-1.0, 1.0], [1.0, -1.0]]),
+            np.array([[-2.0, 1.0], [2.0, -1.0]]),
+            np.array([[-1.0, 3.0], [1.0, -3.0]])]
+
+
+def test_limits_on_mixed_breakpoints_are_exact():
+    mdl = M.validated(M.PatchModel(
+        2, M.PeriodicMatrixFunction.from_segments([0.0, 0.5], _R_MIXED),
+        M.PeriodicMatrixFunction.from_segments([0.0, 0.25, 0.75], _L_MIXED)))
+    (R1, R2), (L0, L1, L2) = _R_MIXED, _L_MIXED
+    quarters = [(R1, L0), (R1, L1), (R2, L1), (R2, L2)]
+    assert A.chi(mdl) == 0.5
+    assert mdl.mean_rates().tolist() == [-0.25, -0.5]
+    Lbar = np.array([[-1.5, 1.5], [1.5, -1.5]])  # L0/4 + L1/2 + L2/4
+    for m in (0.0, 0.1, 1.0, 10.0):
+        Abar = np.diag([-0.25, -0.5]) + m * Lbar
+        assert A.limit_T0(mdl, m) == perron_root(Abar[:, :, None])[0]
+        assert A.limit_Tinf(mdl, m) == pytest.approx(sum(
+            0.25 * perron_root((R + m * L)[:, :, None])[0]
+            for R, L in quarters), abs=1e-15)
+    assert A.limit_T0(mdl, 1.0) == pytest.approx((np.sqrt(145.0) - 15.0) / 8.0,
+                                                 abs=1e-15)
+    # kernels (1/2, 1/2), (1/3, 2/3), (1/3, 2/3), (3/4, 1/4) against r(tau)
+    assert A.limit_minf(mdl) == pytest.approx(-47.0 / 96.0, abs=1e-15)
+    panel = A.limit_panel(mdl, m=1.0)
+    assert (panel.chi, panel.lambda_00, panel.lambda_0T) == (0.5, -0.25, -0.25)
+    assert panel.lambda_inf0 == pytest.approx(-0.375, abs=1e-15)
+    assert panel.lambda_infinf == pytest.approx(-47.0 / 96.0, abs=1e-15)
+    assert panel.infimum is None  # the migration is not constant
+    assert A.limit_Tinf(mdl, panel.m_star) == pytest.approx(0.0, abs=1e-12)
+    assert panel.lambda_m_T0 == A.limit_T0(mdl, 1.0)
+    assert panel.lambda_m_Tinf == A.limit_Tinf(mdl, 1.0)
+    with pytest.raises(D.NonConstantMigration):
+        D.growth_rate_h_formula(mdl, M.ModelParameters(1.0, 2.0))

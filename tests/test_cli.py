@@ -312,7 +312,7 @@ def _assert_slow_curve_rows(rows, mdl, params):
     traj = dynamics.periodic_simplex_solution(mdl, params)
     *_, counts, _ = dynamics._segment_grid(mdl, params)
     vectors = spectral.perron_vector(
-        dynamics.merged_segments(mdl, params.m)[2])
+        mdl.segments.R + params.m * mdl.segments.L)
     own = np.append(np.repeat(np.arange(len(counts)), counts), len(counts) - 1)
     assert len(rows) - 1 == len(traj.states) == len(own)
     n = mdl.n
@@ -344,14 +344,26 @@ def test_lambda_non_finite_input_is_a_usage_error(capsys, option):
     assert json.loads(err)["error"] == "usage"
 
 
-@pytest.mark.parametrize("m", ["-1", "nan", "inf"])
+@pytest.mark.parametrize("m", ["-1", "nan", "inf", "1e308"])
 def test_limits_at_an_invalid_m_is_a_usage_error(capsys, m):
-    # R + m L at m = -1 is no growth model; m = inf overflowed with a warning
+    # R + m L at m = -1 is no growth model; m = inf, and m = 1e308 where
+    # m L overflows, printed nan with a warning
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code, out, err = run(capsys, "limits", "ab1", "--m", m)
     assert code == 2 and out == ""
     assert json.loads(err)["error"] == "usage"
+
+
+def test_argparse_errors_are_one_json_object(capsys):
+    # "-1:2:3" reads as an option, so --m-range has no value: argparse's own
+    # error, which printed plain-text usage
+    code, out, err = run(capsys, "sweep", "ab1", "--m-range", "-1:2:3")
+    assert code == 2 and out == ""
+    doc = json.loads(err)
+    assert doc["error"] == "usage" and "--m-range" in doc["message"]
+    code, out, err = run(capsys, "--help")
+    assert code == 0 and out.startswith("usage: dig") and err == ""
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf", "-1", "0"])

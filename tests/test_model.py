@@ -26,7 +26,6 @@ def test_segment_lookup_and_wraparound():
     assert f.value(0.25)[0, 0] == 0.0
     assert f.value(0.75)[0, 0] == 1.0
     assert f.value(1.25)[0, 0] == 0.0  # periodic extension
-    assert np.allclose(f.average(), 0.5 * np.ones((2, 2)))
 
 
 def test_model_parameters_domain():
@@ -52,6 +51,34 @@ def test_validate_flags_column_sum_violation():
     report = M.validate(M.PatchModel(2, growth, bad))
     assert report.status is M.ValidationStatus.INVALID
     assert any(i.kind == "ColumnSumViolation" for i in report.issues)
+
+
+def test_validate_on_mixed_breakpoints_names_migration_segments():
+    # migration breaks 0, 1/4, 3/4 against growth breaks 0, 1/2: migration
+    # segment 1 spans two of the model's segments, and a violation in it is
+    # still reported with its own index
+    growth = M.PeriodicMatrixFunction.from_segments(
+        [0.0, 0.5], [np.diag([0.5, -1.5]), np.diag([-1.0, 0.5])])
+    two_way = np.array([[-1.0, 1.0], [1.0, -1.0]])
+    one_way = np.array([[-2.0, 0.0], [2.0, 0.0]])
+    zero = np.zeros((2, 2))
+
+    def report(*mats):
+        mdl = M.PatchModel(2, growth, M.PeriodicMatrixFunction.from_segments(
+            [0.0, 0.25, 0.75], mats))
+        rep = M.validate(mdl)
+        assert mdl.validation is rep.status
+        return rep
+
+    S = M.ValidationStatus
+    assert report(two_way, two_way, two_way).status is S.IRREDUCIBLE_EVERYWHERE
+    assert report(two_way, one_way, two_way).status is S.POSITIVE_MONODROMY_ONLY
+    assert report(zero, one_way, zero).status is S.NO_POSITIVE_MONODROMY
+    bad = report(two_way, -two_way, two_way)
+    assert bad.status is S.INVALID
+    assert [str(i) for i in bad.issues] == [
+        "NegativeOffDiagonal(segment=1, i=0, j=1)",
+        "NegativeOffDiagonal(segment=1, i=1, j=0)"]
 
 
 def test_column_sum_tolerance_accepts_tiny_residual():

@@ -138,7 +138,8 @@ def test_perron_root_of_a_one_way_cycle_does_not_warn():
     # cbrt(det), and every patch's mean rate, -0.5, is the root
     mdl = M.builtin("fainshil")
     for m in (1e-6, 1e-2, 0.3, 1.0, 10.0, 100.0):
-        A = mdl.growth.average() + m * mdl.migration.average()
+        seg = mdl.segments
+        A = seg.R @ seg.widths + m * (seg.L @ seg.widths)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             root = S.perron_root(A[:, :, None])[0]
