@@ -33,10 +33,13 @@ D turns its Perron vector and entries back into those of Phi(T).
 The simplex reduction theta = x / sum(x) obeys
 dtheta/dt = A theta - <A theta, 1> theta and has a unique globally attracting
 T-periodic solution theta* anchored at the Perron vector of Phi(T), which
-for large T tracks each segment's ``spectral.perron_vector``.  From theta*
-come two independent expressions for Lambda: the integral formula
+for large T tracks each segment's ``spectral.perron_vector``.  theta* is
+walked once, by exact sub-step exponentials, into one node table (tau,
+state, segment, Simpson weight); the slow-curve check and two independent
+expressions for Lambda reduce it: the integral formula
 Lambda = int_0^1 sum_i r_i(tau) theta*_i(T tau) dtau, and, for constant
 migration, the h-formula Lambda = sum_i p_i rbar_i + m int_0^1 h(theta*) dtau.
+``propagate_simplex`` multiplies by whole segment exponentials instead.
 """
 
 from __future__ import annotations
@@ -91,7 +94,8 @@ class NonConstantMigration(DynamicsError):
 @dataclass(frozen=True)
 class GrowthResult:
     lam: float           # growth rate Lambda(m, T)
-    mu: float            # Perron root of Phi(T); inf if e^{Lambda T} overflows
+    mu: float            # Perron root of Phi(T); inf if e^{Lambda T}
+                         # overflows, 0 if it underflows
     pi: np.ndarray       # Perron vector, unit sum
 
 
@@ -340,78 +344,75 @@ def _segment_grid(model: PatchModel, params: ModelParameters):
     return seg.breaks, widths, counts, props.transpose(2, 0, 1)
 
 
-def _theta_star_segments(model: PatchModel, params: ModelParameters):
-    """theta* sampled on the per-segment grids, by exact exponential stepping
-    from theta(0) = pi with renormalization at every node.
-
-    Returns (segments, defect) where each segment is (taus, thetas) and
-    thetas has one row per grid node including both segment endpoints.
-    """
+def _theta_star(model: PatchModel, params: ModelParameters):
+    """(tau, theta, seg, weight, defect): theta* on the per-segment grids
+    by exact exponential stepping from theta(0) = pi, renormalized at every
+    node, with each node's tau, state (a row of theta), segment index and
+    composite-Simpson weight within that segment.  Each segment keeps both
+    end nodes.  ``defect`` is the sup gap between theta(1) and pi."""
     res = growth_rate(model, params)
     breaks, widths, counts, props = _segment_grid(model, params)
-    theta = res.pi.copy()
-    segments = []
-    for b, w, nk, P in zip(breaks, widths, counts, props):
-        h = w / nk
-        taus = b + h * np.arange(nk + 1)
-        thetas = np.empty((nk + 1, model.n))
-        thetas[0] = theta
-        for j in range(nk):
-            theta = P @ theta
-            theta /= theta.sum()
-            thetas[j + 1] = theta
-        segments.append((taus, thetas))
-    defect = float(np.abs(theta - res.pi).max())
-    return segments, defect
+    x = res.pi.copy()
+    rows = []
+    for P, nk in zip(props, counts):
+        rows.append(x)
+        for _ in range(nk):
+            x = P @ x
+            x /= x.sum()
+            rows.append(x)
+    seg = np.repeat(np.arange(len(counts)), np.add(counts, 1))
+    nk = np.asarray(counts)[seg]
+    j = np.concatenate([np.arange(c + 1) for c in counts])  # index in segment
+    h = widths[seg] / nk
+    weight = np.where(j % 2 == 1, 4.0, 2.0)
+    weight[(j == 0) | (j == nk)] = 1.0
+    weight *= h / 3.0
+    defect = float(np.abs(x - res.pi).max())
+    return breaks[seg] + h * j, np.array(rows), seg, weight, defect
 
 
 def periodic_simplex_solution(model: PatchModel,
                               params: ModelParameters) -> SimplexTrajectory:
     """The T-periodic solution theta* on [0, T], anchored at the Perron vector."""
-    segments, defect = _theta_star_segments(model, params)
+    tau, theta, seg, _, defect = _theta_star(model, params)
     if defect > DEFECT_TOL:
         raise PeriodicityDefectExceeded(f"periodic defect {defect:.3e}")
-    times = np.concatenate([taus[:-1] for taus, _ in segments]
-                           + [np.array([1.0])]) * params.T
-    last = segments[-1][1][-1]
-    states = np.vstack([th[:-1] for _, th in segments] + [last[None, :]])
+    inner = seg[1:] == seg[:-1]  # drops each segment's end node but the last
+    times = np.append(tau[:-1][inner], 1.0) * params.T
+    states = np.vstack([theta[:-1][inner], theta[-1:]])
     return SimplexTrajectory(times=times, states=states, periodic_defect=defect)
 
 
 def propagate_simplex(model: PatchModel, params: ModelParameters,
                       thetas: np.ndarray, periods: int = 1) -> np.ndarray:
-    """Advance simplex states (rows of ``thetas``) by whole periods.
+    """Advance simplex states (rows of ``thetas``) by whole periods, one
+    exact segment exponential e^{w_k T A_k} at a time, renormalized.
 
     Used to exhibit global asymptotic stability of theta*: arbitrary starts
     contract onto the periodic solution.
     """
-    *_, counts, props = _segment_grid(model, params)
+    seg = model.segments
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite: broken
+        B = (seg.widths * params.T) * (seg.R + params.m * seg.L)
+    E, _, broken = expm_stack_scaled(B)
+    if broken.any():
+        raise IntegrationFailure("matrix exponential scaling broke down")
     X = np.asarray(thetas, dtype=float).T.copy()  # (n, batch)
     for _ in range(periods):
-        for P, nk in zip(props, counts):
-            for _ in range(nk):
-                X = P @ X
-                X /= X.sum(axis=0)
+        for P in E.transpose(2, 0, 1):
+            X = P @ X
+            total = X.sum(axis=0)
+            if not (total > 0.0).all():
+                raise IntegrationFailure("propagation left the positive cone")
+            X /= total
     return X.T
-
-
-def _simpson_weights(nk: int, h: float) -> np.ndarray:
-    w = np.ones(nk + 1)
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
-    return w * (h / 3.0)
 
 
 def growth_rate_integral(model: PatchModel, params: ModelParameters) -> float:
     """Lambda via the integral of r(tau) . theta*(T tau) over one period."""
-    segments, _ = _theta_star_segments(model, params)
-    total = 0.0
-    for (taus, thetas), r in zip(segments, np.diagonal(model.segments.R)):
-        nk = len(taus) - 1
-        h = taus[1] - taus[0]
-        g = (r * thetas).sum(axis=1)
-        total += _simpson_weights(nk, h) @ g
-    return float(total)
+    _, theta, seg, weight, _ = _theta_star(model, params)
+    r = np.diagonal(model.segments.R)[seg]
+    return float(weight @ (r * theta).sum(axis=1))
 
 
 def growth_rate_h_formula(model: PatchModel, params: ModelParameters) -> float:
@@ -425,19 +426,13 @@ def growth_rate_h_formula(model: PatchModel, params: ModelParameters) -> float:
         raise NonConstantMigration("h-formula requires time-independent migration")
     L = L[:, :, 0]
     p = kernel_vector(L)
-    rbar = model.mean_rates()
-    base = float(p @ rbar)
-    segments, _ = _theta_star_segments(model, params)
-    integral = 0.0
-    for taus, thetas in segments:
-        nk = len(taus) - 1
-        h_step = taus[1] - taus[0]
-        hvals = ((thetas @ L.T) * (p / thetas)).sum(axis=1)
-        if hvals.min() < -1e-10:
-            raise IntegrationFailure(
-                f"h(theta*) dipped to {hvals.min():.3e}; theta* inaccurate")
-        integral += _simpson_weights(nk, h_step) @ hvals
-    return base + params.m * float(integral)
+    base = float(p @ model.mean_rates())
+    _, theta, _, weight, _ = _theta_star(model, params)
+    hvals = ((theta @ L.T) * (p / theta)).sum(axis=1)
+    if hvals.min() < -1e-10:
+        raise IntegrationFailure(
+            f"h(theta*) dipped to {hvals.min():.3e}; theta* inaccurate")
+    return base + params.m * float(weight @ hvals)
 
 
 def verify_slow_curve(model: PatchModel,
@@ -449,21 +444,13 @@ def verify_slow_curve(model: PatchModel,
     if model.validation is not ValidationStatus.IRREDUCIBLE_EVERYWHERE:
         raise DynamicsError("slow-curve comparison needs an everywhere-"
                             "irreducible model")
-    segments, _ = _theta_star_segments(model, params)
-    jumps = [taus[0] for taus, _ in segments]
-    seg = model.segments
-    vectors = perron_vector(seg.R + params.m * seg.L)
-    sup = 0.0
-    compared = 0
-    for (taus, thetas), v in zip(segments, vectors):
-        mask = np.ones(len(taus), dtype=bool)
-        for b in jumps + [1.0]:
-            mask &= ~((taus >= b - 1e-12) & (taus < b + SLOW_CURVE_LAYER))
-        if not mask.any():
-            continue
-        dev = np.abs(thetas[mask] - v[None, :]).max()
-        sup = max(sup, float(dev))
-        compared += int(mask.sum())
-    return SlowCurveReport(sup_deviation=sup, T=params.T,
+    tau, theta, seg, _, _ = _theta_star(model, params)
+    segs = model.segments
+    v = perron_vector(segs.R + params.m * segs.L)[seg]
+    edges = np.append(segs.breaks, 1.0)
+    layer = ((tau[:, None] >= edges - 1e-12)
+             & (tau[:, None] < edges + SLOW_CURVE_LAYER)).any(axis=1)
+    sup = np.abs(theta[~layer] - v[~layer]).max(initial=0.0)
+    return SlowCurveReport(sup_deviation=float(sup), T=params.T,
                            layer_width=SLOW_CURVE_LAYER,
-                           n_compared=compared)
+                           n_compared=int((~layer).sum()))

@@ -95,7 +95,7 @@ def _as_breaks(breaks: Sequence[float]) -> tuple[float, ...]:
               for x in breaks)
     if not b or b[0] != 0.0:
         raise SchemaError("first breakpoint must be 0")
-    if any(x < 0.0 or x >= 1.0 for x in b):
+    if not all(0.0 <= x < 1.0 for x in b):  # NaN too
         raise SchemaError("breakpoints must lie in [0, 1)")
     if any(b[k + 1] <= b[k] for k in range(len(b) - 1)):
         raise SchemaError("breakpoints must be strictly increasing")
@@ -129,6 +129,8 @@ class PeriodicMatrixFunction:
         for M in mats:
             if M.shape != (n, n):
                 raise SchemaError("all segment matrices must be square, same size")
+            if not np.isfinite(M).all():
+                raise SchemaError("matrix entries must be finite")
             M.setflags(write=False)
         return PeriodicMatrixFunction(n=n, breaks=b, matrices=mats)
 

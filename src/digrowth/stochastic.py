@@ -94,6 +94,9 @@ class MarkovEnvironment:
         N = len(self.rates)
         if len(self.migrations) != N or self.Q.shape != (N, N):
             raise InvalidEnvironment("state count mismatch")
+        if not all(np.isfinite(a).all()
+                   for a in (*self.rates, *self.migrations, self.Q)):
+            raise InvalidEnvironment("rates, migrations and Q must be finite")
         n = len(self.rates[0])
         for r, L in zip(self.rates, self.migrations):
             if len(r) != n or L.shape != (n, n):

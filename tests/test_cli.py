@@ -81,6 +81,28 @@ def test_validate_invalid_file(capsys, tmp_path):
     assert json.loads(err)["error"] == "validation"
 
 
+@pytest.mark.parametrize("field", ["growth", "breaks"])
+@pytest.mark.parametrize("argv", [
+    ["validate"], ["limits"],
+    ["sweep", "--m-range", "1:2:2", "--T-range", "1:2:2"],
+])
+def test_non_finite_model_is_rejected(capsys, tmp_path, field, argv):
+    # a NaN growth rate validated clean and a NaN breakpoint passed the
+    # order checks; limits blamed an overflow and sweep wrote error cells
+    doc = M.to_dict(M.builtin("ab1"))
+    if field == "growth":
+        doc["growth"]["diagonals"][0][0] = float("nan")
+    else:
+        doc["growth"]["breaks"][1] = float("nan")
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps(doc))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, argv[0], str(path), *argv[1:])
+    assert code == 2 and out == ""
+    assert "must" in json.loads(err)["message"]
+
+
 def test_unknown_model_exit_code(capsys):
     code, _, err = run(capsys, "lambda", "nope", "--m", "1", "--T", "1")
     assert code == 2
@@ -185,6 +207,24 @@ def test_simulate_invalid_environment_is_a_validation_error(capsys, tmp_path,
                                     states=[state, SIM_ENV["states"][1]])))
     code, out, err = run(capsys, "simulate", str(path), "--m", "1", "--T",
                          "0.5", "--horizon", "300")
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "validation"
+
+
+@pytest.mark.parametrize("where", ["R", "Q"])
+def test_simulate_non_finite_environment_is_a_validation_error(capsys,
+                                                               tmp_path,
+                                                               where):
+    # a NaN in Q died with an IndexError after a NumPy warning, and a NaN
+    # rate left the positive cone
+    doc = json.loads(json.dumps(SIM_ENV))
+    (doc["Q"][0] if where == "Q" else doc["states"][0]["R"])[0] = float("nan")
+    path = tmp_path / "env.json"
+    path.write_text(json.dumps(doc))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "simulate", str(path), "--m", "1",
+                             "--T", "0.5", "--horizon", "300")
     assert code == 2 and out == ""
     assert json.loads(err)["error"] == "validation"
 

@@ -1,5 +1,6 @@
 """Monodromy, growth rate, and periodic simplex dynamics."""
 
+import math
 import warnings
 
 import mpmath as mp
@@ -140,6 +141,66 @@ def test_propagate_simplex_overflowing_period_is_an_integration_failure():
         with pytest.raises(D.IntegrationFailure):
             D.propagate_simplex(M.builtin("ab1"), P(1.0, 1e308),
                                 np.array([[0.5, 0.5]]))
+
+
+def test_propagate_simplex_underflowed_state_is_an_integration_failure():
+    # the scaled segment exponentials drop every column's mass, which the
+    # sub-step propagation returned as an underflowed state
+    mdl = M.builtin("three_patch_reducible")
+    with pytest.raises(D.IntegrationFailure, match="positive cone"):
+        D.propagate_simplex(mdl, P(1.0, 1e4), np.full((1, 3), 1.0 / 3.0))
+
+
+@pytest.mark.parametrize("name", ["ab1", "three_patch_circular",
+                                  "fainshil(0.1,0.1)"])
+def test_propagate_simplex_keeps_theta_star(name):
+    mdl = M.builtin(name)
+    for params in (P(0.3, 0.5), P(1.0, 5.0), P(3.0, 40.0)):
+        theta0 = D.periodic_simplex_solution(mdl, params).states[:1]
+        after = D.propagate_simplex(mdl, params, theta0)
+        assert np.abs(after - theta0).max() <= 1e-12
+
+
+@pytest.mark.parametrize("name", [n for n in M.catalog()
+                                  if M.builtin(n).validation is not
+                                  M.ValidationStatus.NO_POSITIVE_MONODROMY])
+def test_theta_star_simpson_weights_sum_to_widths(name):
+    mdl = M.builtin(name)
+    widths = mdl.segments.widths
+    for params in (P(0.1, 0.05), P(1.0, 20.0), P(10.0, 300.0)):
+        _, theta, seg, weight, _ = D._theta_star(mdl, params)
+        assert len(theta) == len(seg) == len(weight)
+        # exact sums: the weights, not the summation order, are under test
+        for k, w in enumerate(widths):
+            assert abs(math.fsum(weight[seg == k]) - w) <= 1e-14
+        assert abs(math.fsum(weight) - 1.0) <= 1e-14
+
+
+def test_slow_curve_compares_the_nodes_outside_every_layer():
+    # a node is skipped within SLOW_CURVE_LAYER after a break, or 1e-12
+    # before it; tau = 1 is tau = 0 of the next period
+    mdl, params = M.builtin("abc_two_patch"), P(0.7, 50.0)
+    breaks = mdl.segments.breaks
+    tau, theta, seg, _, _ = D._theta_star(mdl, params)
+    phase = np.where(tau >= 1.0 - 1e-12, 0.0, tau)
+    last = breaks[np.searchsorted(breaks, phase + 1e-12, side="right") - 1]
+    outside = phase - last >= D.SLOW_CURVE_LAYER
+    v = perron_vector(mdl.segments.R + params.m * mdl.segments.L)[seg]
+    report = D.verify_slow_curve(mdl, params)
+    assert report.n_compared == outside.sum() > 0
+    assert report.sup_deviation == np.abs(theta - v)[outside].max()
+
+
+def test_integral_formula_of_uniform_growth_is_the_rate():
+    # r . theta* = c on the simplex whatever theta* is
+    c = -0.7
+    growth = M.PeriodicMatrixFunction.from_segments(
+        [0.0, 0.3], [c * np.eye(3)] * 2)
+    migration = M.PeriodicMatrixFunction.constant(
+        [[-1.0, 0.5, 2.0], [1.0, -2.0, 0.0], [0.0, 1.5, -2.0]])
+    mdl = M.validated(M.PatchModel(3, growth, migration))
+    for m, T in [(0.2, 0.1), (1.0, 5.0), (5.0, 80.0)]:
+        assert abs(D.growth_rate_integral(mdl, P(m, T)) - c) <= 1e-12
 
 
 def test_oracle_agrees_with_monodromy():

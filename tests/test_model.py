@@ -20,6 +20,23 @@ def test_breaks_must_increase():
                                                [np.eye(2)] * 3)
 
 
+@pytest.mark.parametrize("breaks", [[0.0, float("nan")],
+                                    [0.0, 0.5, float("nan")]])
+def test_breaks_must_be_numbers_in_the_unit_interval(breaks):
+    # every comparison with NaN is false, so no order check catches it
+    with pytest.raises(M.SchemaError, match=r"\[0, 1\)"):
+        M.PeriodicMatrixFunction.from_segments(breaks,
+                                               [np.eye(2)] * len(breaks))
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_matrix_entries_must_be_finite(bad):
+    L = np.array([[-1.0, 2.0], [1.0, -2.0]])
+    L[1, 0] = bad
+    with pytest.raises(M.SchemaError, match="finite"):
+        M.PeriodicMatrixFunction.from_segments([0.0, 0.5], [-L.T, L])
+
+
 def test_segment_lookup_and_wraparound():
     f = M.PeriodicMatrixFunction.from_segments(
         [0.0, 0.5], [np.zeros((2, 2)), np.ones((2, 2))])
@@ -239,6 +256,16 @@ def test_load_rejects_invalid_matrices(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
     with pytest.raises(M.SchemaError):
+        M.load(path)
+
+
+def test_load_rejects_non_finite_entries(tmp_path):
+    # Python's json reads NaN and Infinity
+    doc = M.to_dict(M.builtin("ab1"))
+    doc["growth"]["diagonals"][0][0] = float("nan")
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(M.SchemaError, match="finite"):
         M.load(path)
 
 

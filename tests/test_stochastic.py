@@ -101,6 +101,20 @@ def test_environment_validation():
         S.environment([([0.0, 0.0], L_SYM)], [[1.0]])  # bad row sum
 
 
+@pytest.mark.parametrize("where, value", [
+    ("rate", float("nan")), ("rate", float("inf")),
+    ("migration", float("nan")), ("Q", float("nan")), ("Q", float("inf")),
+])
+def test_environment_rejects_non_finite_entries(where, value):
+    # no sign or sum check catches NaN, whose comparisons are all false
+    rates = np.array([[0.5, -1.5], [-1.5, 0.5]])
+    L = np.array(L_SYM)
+    Q = np.array([[-1.0, 1.0], [1.0, -1.0]])
+    {"rate": rates, "migration": L, "Q": Q}[where][0, 0] = value
+    with pytest.raises(S.InvalidEnvironment, match="finite"):
+        S.environment([(rates[0], L), (rates[1], L_SYM)], Q)
+
+
 def test_single_state_collapse():
     env = S.environment([([0.5, -1.5], [[-1.0, 2.0], [1.0, -2.0]])], [[0.0]])
     m = 1.3
