@@ -14,7 +14,10 @@ The four one-sided limits and four corner values:
 plus the threshold chi = int_0^1 max_i r_i(tau) dtau, the critical migration
 rate m* solving Lambda(m, inf) = 0 when it exists, two-patch closed forms,
 and an empirical convexity/monotonicity report for the two limit curves.
-All integrals are exact sums over the model's segments.
+All integrals are exact sums over the model's segments.  Each kernel
+direction is the Perron vector of a migration matrix, whose Perron root is
+0, from ``spectral.perron_vector``: one stacked call over all segments for
+p, a stack of one for q.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ import numpy as np
 
 from . import search
 from .model import PatchModel, ValidationStatus
-from .spectral import is_irreducible, kernel_vector, perron_root
+from .spectral import is_irreducible, perron_root, perron_vector
 
 # the m* search widens this bracket 100-fold a step, within M_STAR_LIMITS
 M_STAR_BRACKET = (1e-6, 100.0)
@@ -125,21 +128,16 @@ def limit_minf(model: PatchModel) -> float:
     if not model.segment_reach.all():
         raise ReducibleSegment("fast-migration limit needs irreducible migration")
     seg = model.segments
-    total = 0.0
-    for k, (w, r) in enumerate(zip(seg.widths, np.diagonal(seg.R))):
-        total += w * float(kernel_vector(seg.L[:, :, k]) @ r)
-    return total
+    p = perron_vector(seg.L)
+    return float(seg.widths @ (p * np.diagonal(seg.R)).sum(axis=1))
 
 
 def corners(model: PatchModel) -> dict[str, float]:
     """The four corner values of the (m, T) diagram."""
     rbar = model.mean_rates()
     Lbar = model.segments.L @ model.segments.widths
-    if is_irreducible(Lbar):
-        q = kernel_vector(Lbar)
-        lam_inf0 = float(q @ rbar)
-    else:
-        lam_inf0 = float("nan")
+    lam_inf0 = (float(perron_vector(Lbar[:, :, None])[0] @ rbar)
+                if is_irreducible(Lbar) else float("nan"))
     try:
         lam_infinf = limit_minf(model)
     except ReducibleSegment:
@@ -259,10 +257,8 @@ class LimitPanel:
 
 def limit_panel(model: PatchModel, m: float | None = None) -> LimitPanel:
     c = corners(model)
-    inf_val = None
     L = model.segments.L
-    if (L == L[:, :, :1]).all() and model.segment_reach.all():
-        inf_val = float(kernel_vector(L[:, :, 0]) @ model.mean_rates())
+    constant = (L == L[:, :, :1]).all() and model.segment_reach.all()
     try:
         ms = m_star(model)
     except ReducibleSegment:
@@ -274,7 +270,7 @@ def limit_panel(model: PatchModel, m: float | None = None) -> LimitPanel:
         lambda_infinf=c["lambda_infinf"],
         lambda_0T=limit_m0(model),
         m_star=ms,
-        infimum=inf_val,
+        infimum=c["lambda_inf0"] if constant else None,
         lambda_m_T0=None if m is None else limit_T0(model, m),
         lambda_m_Tinf=None if m is None else limit_Tinf(model, m),
     )

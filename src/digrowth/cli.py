@@ -147,12 +147,15 @@ def _cmd_lambda(args) -> int:
     res = dynamics.growth_rate(mdl, params)
     out = {"lambda": res.lam, "mu": res.mu, "pi": list(res.pi),
            "method": "ExponentialProduct", "cross_checks": {}}
+    if args.check_integral or args.check_h:
+        # both identities reduce one theta* walk, started at res.pi
+        table = dynamics._theta_star(mdl, params, res.pi)
     if args.check_integral:
         out["cross_checks"]["integral"] = abs(
-            res.lam - dynamics.growth_rate_integral(mdl, params))
+            res.lam - dynamics._integral(mdl, table))
     if args.check_h:
         out["cross_checks"]["h_formula"] = abs(
-            res.lam - dynamics.growth_rate_h_formula(mdl, params))
+            res.lam - dynamics._h_formula(mdl, params, table))
     _emit(out)
     return 0
 

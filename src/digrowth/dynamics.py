@@ -50,9 +50,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import ModelParameters, PatchModel, Segments, ValidationStatus
-from .spectral import (expm2_scaled, expm_stack_scaled, kernel_vector,
-                       perron_positive, perron_root, perron_vector,
-                       scaled_product)
+from .spectral import (expm2_scaled, expm_stack_scaled, perron_positive,
+                       perron_root, perron_vector, scaled_product)
 
 # RK4 steps and theta* grid nodes per unit of tau; the oracle's periods; the
 # tau width of the layer after each breakpoint that verify_slow_curve skips
@@ -344,15 +343,17 @@ def _segment_grid(model: PatchModel, params: ModelParameters):
     return seg.breaks, widths, counts, props.transpose(2, 0, 1)
 
 
-def _theta_star(model: PatchModel, params: ModelParameters):
+def _theta_star(model: PatchModel, params: ModelParameters,
+                pi: np.ndarray | None = None):
     """(tau, theta, seg, weight, defect): theta* on the per-segment grids
-    by exact exponential stepping from theta(0) = pi, renormalized at every
+    by exact exponential stepping from theta(0) = pi, the Perron vector of
+    Phi(T) (``growth_rate``'s where None is given), renormalized at every
     node, with each node's tau, state (a row of theta), segment index and
     composite-Simpson weight within that segment.  Each segment keeps both
     end nodes.  ``defect`` is the sup gap between theta(1) and pi."""
-    res = growth_rate(model, params)
+    pi = growth_rate(model, params).pi if pi is None else pi
     breaks, widths, counts, props = _segment_grid(model, params)
-    x = res.pi.copy()
+    x = pi.copy()
     rows = []
     for P, nk in zip(props, counts):
         rows.append(x)
@@ -367,7 +368,7 @@ def _theta_star(model: PatchModel, params: ModelParameters):
     weight = np.where(j % 2 == 1, 4.0, 2.0)
     weight[(j == 0) | (j == nk)] = 1.0
     weight *= h / 3.0
-    defect = float(np.abs(x - res.pi).max())
+    defect = float(np.abs(x - pi).max())
     return breaks[seg] + h * j, np.array(rows), seg, weight, defect
 
 
@@ -410,7 +411,12 @@ def propagate_simplex(model: PatchModel, params: ModelParameters,
 
 def growth_rate_integral(model: PatchModel, params: ModelParameters) -> float:
     """Lambda via the integral of r(tau) . theta*(T tau) over one period."""
-    _, theta, seg, weight, _ = _theta_star(model, params)
+    return _integral(model, _theta_star(model, params))
+
+
+def _integral(model: PatchModel, table) -> float:
+    """``growth_rate_integral`` over a ``_theta_star`` table."""
+    _, theta, seg, weight, _ = table
     r = np.diagonal(model.segments.R)[seg]
     return float(weight @ (r * theta).sum(axis=1))
 
@@ -418,16 +424,25 @@ def growth_rate_integral(model: PatchModel, params: ModelParameters) -> float:
 def growth_rate_h_formula(model: PatchModel, params: ModelParameters) -> float:
     """Constant-migration decomposition Lambda = sum_i p_i rbar_i + m int h(theta*).
 
+    p is the kernel direction of L: its Perron vector, whose root is 0.
+
     h(x) = sum_i (L x)_i p_i / x_i is nonnegative on the open positive cone,
     which is rechecked pointwise along theta*.
     """
+    return _h_formula(model, params)
+
+
+def _h_formula(model: PatchModel, params: ModelParameters,
+               table=None) -> float:
+    """``growth_rate_h_formula`` over a ``_theta_star`` table, walked here,
+    after the migration is found constant, where none is given."""
     L = model.segments.L
     if not (L == L[:, :, :1]).all():
         raise NonConstantMigration("h-formula requires time-independent migration")
+    p = perron_vector(L[:, :, :1])[0]
     L = L[:, :, 0]
-    p = kernel_vector(L)
     base = float(p @ model.mean_rates())
-    _, theta, _, weight, _ = _theta_star(model, params)
+    _, theta, _, weight, _ = table or _theta_star(model, params)
     hvals = ((theta @ L.T) * (p / theta)).sum(axis=1)
     if hvals.min() < -1e-10:
         raise IntegrationFailure(

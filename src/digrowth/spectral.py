@@ -33,11 +33,10 @@ Contents:
   closed form for n = 2 and 3, else by one stacked ``eigvals``: the root of
   the growth-rate kernel, of every limit and of the switched model.
 * ``perron_vector`` — the unit-sum nonnegative Perron vector of each
-  Metzler matrix of a stack, by one stacked ``eig``: the slow curve.
+  Metzler matrix of a stack, by one stacked ``eig``: the slow curve, and
+  the kernels (Perron root 0) of L(tau), its average, and a chain's Q^T.
 * ``perron_positive`` — dominant eigenpair of a positive matrix by power
   iteration, finished by the two above where it stalls.
-* ``kernel_vector`` — the positive kernel direction of an irreducible
-  zero-column-sum Metzler matrix, from the cofactor formula.
 * ``reachability`` — Boolean closure of the graph of off-diagonal entries
   > EDGE_TOL, the zero pattern of e^{tA}; ``is_irreducible``: is it full.
 """
@@ -374,25 +373,3 @@ def perron_positive(A: np.ndarray) -> tuple[float, np.ndarray]:
     stack = A[:, :, None]
     return float(perron_root(stack)[0]), perron_vector(stack)[0]
 
-
-def kernel_vector(L: np.ndarray) -> np.ndarray:
-    """Positive unit-sum kernel vector of an irreducible Metzler matrix with
-    zero column sums, via the all-minors cofactor formula.
-
-    The i-th component is proportional to the determinant of L with row and
-    column i deleted, up to the sign (-1)^(n-1); for an irreducible
-    zero-column-sum Metzler matrix these are all strictly positive.
-    """
-    L = np.asarray(L, dtype=float)
-    n = L.shape[0]
-    sign = (-1.0) ** (n - 1)
-    d = np.empty(n)
-    idx = np.arange(n)
-    for i in range(n):
-        keep = idx != i
-        d[i] = sign * np.linalg.det(L[np.ix_(keep, keep)])
-    total = d.sum()
-    if total <= 0.0 or np.any(d <= 0.0):
-        raise ValueError("kernel_vector needs an irreducible zero-column-sum "
-                         "Metzler matrix")
-    return d / total

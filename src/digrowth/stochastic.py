@@ -27,12 +27,13 @@ the chunk hands ``spectral`` is a C-contiguous entry-major array
 (n, n, ...): the state matrices are stored that way, and the dwells'
 matrices and the batches' runs of flows are gathered from them by
 ``np.take`` along the stack axis, which keeps that layout.  An
-environment's stationary law, jump laws and exit scales are cached
-properties, computed at its first call.  The runs of flows of the chunk's
-batches, bounded by one ``searchsorted`` and padded with identities to
-the longest run, are multiplied in one ``spectral.scaled_product`` call,
-pairwise and rescaled with their logs kept apart, and the population
-vector takes one product per batch, in Python floats.
+environment's stationary law (the Perron vector of Q^T), jump laws and
+exit scales are cached properties, computed at its first call.  The runs
+of flows of the chunk's batches, bounded by one ``searchsorted`` and
+padded with identities to the longest run, are multiplied in one
+``spectral.scaled_product`` call, pairwise and rescaled with their logs
+kept apart, and the population vector takes one product per batch, in
+Python floats.
 """
 
 from __future__ import annotations
@@ -45,8 +46,9 @@ from functools import cached_property
 
 import numpy as np
 
+from .asymptotics import _generator
 from .spectral import (expm2_scaled, expm_stack_scaled, is_irreducible,
-                       kernel_vector, perron_root, scaled_product)
+                       perron_root, perron_vector, scaled_product)
 
 GENERATOR_ROW_TOL = 1e-12
 MIN_JUMPS = 100
@@ -177,13 +179,12 @@ def load(path) -> MarkovEnvironment:
 
 
 def stationary_distribution(env: MarkovEnvironment) -> np.ndarray:
-    """Unique stationary law of the chain (left kernel of Q, unit sum)."""
-    if env.n_states == 1:
-        return np.array([1.0])
-    QT = env.Q.T  # Metzler with zero column sums
+    """Unique stationary law of the chain, the left kernel of Q: the
+    unit-sum Perron vector of the irreducible Metzler Q^T."""
+    QT = env.Q.T
     if not is_irreducible(QT):
         raise ReducibleChain("generator is not irreducible")
-    return kernel_vector(QT)
+    return perron_vector(QT[:, :, None])[0]
 
 
 def _cdf(p: np.ndarray) -> list[float]:
@@ -339,20 +340,24 @@ def stochastic_limits(env: MarkovEnvironment, m: float) -> dict:
           at m = 0 the m -> 0+ limit chi, as for ``limit_Tinf``
     chi:  stationary average of the pointwise best rate, an upper bound
     corners: slow/fast-migration values m -> 0 and m -> infinity
+
+    Raises ValueError, as the limits of a periodic model do, unless m is
+    finite and >= 0 and every R_s + m L_s is finite.
     """
+    mats = _generator(np.array([np.diag(r) for r in env.rates]),
+                      np.array(env.migrations), m)
     mu = env.stationary
-    mats = [env.matrix(s, m) for s in range(env.n_states)]
     Abar = sum(float(w) * A for w, A in zip(mu, mats))
     rbar = sum(float(w) * env.rates[s] for s, w in enumerate(mu))
     Lbar = sum(float(w) * env.migrations[s] for s, w in enumerate(mu))
-    *roots, t0 = perron_root(np.stack(mats + [Abar], axis=-1)).tolist()
+    *roots, t0 = perron_root(np.stack([*mats, Abar], axis=-1)).tolist()
     tinf = float(sum(w * r for w, r in zip(mu, roots)))
     chi = float(sum(w * env.rates[s].max() for s, w in enumerate(mu)))
     corners = {"lambda_0T": float(rbar.max()), "sup": chi}
     if is_irreducible(Lbar):
-        corners["lambda_inf0"] = float(kernel_vector(Lbar) @ rbar)
+        corners["lambda_inf0"] = float(perron_vector(Lbar[:, :, None])[0]
+                                       @ rbar)
     if all(is_irreducible(L) for L in env.migrations):
-        corners["lambda_infT"] = float(sum(
-            w * (kernel_vector(env.migrations[s]) @ env.rates[s])
-            for s, w in enumerate(mu)))
+        p = perron_vector(np.stack(env.migrations, axis=-1))
+        corners["lambda_infT"] = float(mu @ (p * env.rates).sum(axis=1))
     return {"T0": t0, "Tinf": tinf, "chi": chi, "corners": corners}

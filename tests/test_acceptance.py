@@ -19,7 +19,7 @@ from digrowth import explorer as E
 from digrowth import model as M
 from digrowth import stochastic as S
 from digrowth.model import ModelParameters as MP
-from digrowth.spectral import is_irreducible, kernel_vector, perron_root
+from digrowth.spectral import is_irreducible, perron_root, perron_vector
 
 L_SYM = [[-1.0, 1.0], [1.0, -1.0]]
 
@@ -131,7 +131,8 @@ def test_criterion_05_identity_suite():
             assert abs(lam - D.growth_rate_integral(mdl, params)) <= 1e-6
             if constant_L:
                 L = mdl.migration.value(0.0)
-                floor = float(kernel_vector(L) @ mdl.mean_rates())
+                p = perron_vector(L[:, :, None])[0]
+                floor = float(p @ mdl.mean_rates())
                 assert lam >= floor - 1e-9
                 assert lam >= A.limit_T0(mdl, params.m) - 1e-9
                 assert abs(lam - D.growth_rate_h_formula(mdl, params)) <= 1e-6

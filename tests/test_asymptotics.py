@@ -242,6 +242,19 @@ def test_limit_panel_fields():
     assert panel.lambda_m_T0 is not None and panel.lambda_m_Tinf is not None
 
 
+@pytest.mark.parametrize("name", M.catalog())
+def test_infimum_is_the_fast_migration_corner(name):
+    # under constant irreducible migration the infimum over m of Lambda is
+    # lambda(inf, 0) = q . rbar, q the kernel direction of L = avg L
+    mdl = M.builtin(name)
+    L = mdl.segments.L
+    panel = A.limit_panel(mdl)
+    if (L == L[:, :, :1]).all():
+        assert panel.infimum == A.corners(mdl)["lambda_inf0"]
+    else:
+        assert panel.infimum is None
+
+
 # ab1's growth (breaks 0, 1/2) under migration with breaks 0, 1/4, 3/4: the
 # quarters pair (R1, L0), (R1, L1), (R2, L1), (R2, L2), and every width and
 # entry is dyadic, so the period averages are exact

@@ -39,6 +39,35 @@ def test_lambda_with_cross_checks(capsys):
     assert len(doc["pi"]) == 2
 
 
+def test_lambda_cross_checks_share_one_solve_and_one_theta_star(
+        capsys, monkeypatch):
+    calls = {"growth_rate": 0, "_theta_star": 0}
+    for name in calls:
+        def counted(*args, _name=name, _fn=getattr(dynamics, name)):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(dynamics, name, counted)
+    code, out, _ = run(capsys, "lambda", "three_patch_circular", "--m", "1",
+                       "--T", "20", "--check-integral", "--check-h")
+    assert code == 0
+    assert calls == {"growth_rate": 1, "_theta_star": 1}
+    # the printed checks are those of the public identities
+    mdl, params = M.builtin("three_patch_circular"), M.ModelParameters(1.0, 20.0)
+    lam = dynamics.growth_rate(mdl, params).lam
+    want = {"integral": dynamics.growth_rate_integral(mdl, params),
+            "h_formula": dynamics.growth_rate_h_formula(mdl, params)}
+    assert json.loads(out)["cross_checks"] == {
+        k: float(cli._fmt(abs(lam - v))) for k, v in want.items()}
+
+
+def test_lambda_h_check_needs_constant_migration(capsys):
+    code, out, err = run(capsys, "lambda", "ab2s", "--m", "1", "--T", "2",
+                         "--check-h")
+    assert code == 1 and out == ""
+    assert json.loads(err) == {"error": "numerical", "message":
+                               "h-formula requires time-independent migration"}
+
+
 def test_limits_near_m_star(capsys):
     code, out, _ = run(capsys, "limits", "ab1", "--m", "0.5555555")
     assert code == 0

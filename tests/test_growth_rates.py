@@ -251,18 +251,19 @@ def test_nearly_double_perron_root_takes_eigvals(monkeypatch):
     assert root[2] == 1.0
 
 
-def test_four_patch_matches_a_per_cell_scipy_product():
-    # no catalog model has four patches: the exponential's generic solve
-    # branch and the eigvals root, against scipy's expm cell by cell
-    mdl = random_model(np.random.default_rng(44), n=4)
-    assert mdl.n == 4 and len(mdl.segments.widths) > 1
-    mv, Tv = np.geomspace(0.05, 20.0, 6), np.geomspace(1e-2, 50.0, 6)
-    lam, status = D.growth_rates(mdl, mv[:, None], Tv[None, :])
+# the (m, T) grid of the scipy product checks
+_MV, _TV = np.geomspace(0.05, 20.0, 6), np.geomspace(1e-2, 50.0, 6)
+
+
+def _scipy_grid_agrees(mdl):
+    """Lambda on the 6 x 6 grid against a per-cell scipy expm product of the
+    segments, rescaled as it goes, within 1e-11; the grid's Lambda."""
+    lam, status = D.growth_rates(mdl, _MV[:, None], _TV[None, :])
     assert np.all(status == "ok")
     seg = mdl.segments
-    for i, m in enumerate(mv):
-        for j, T in enumerate(Tv):
-            Phi, log = np.eye(4), 0.0
+    for i, m in enumerate(_MV):
+        for j, T in enumerate(_TV):
+            Phi, log = np.eye(mdl.n), 0.0
             for w, R, L in zip(seg.widths, seg.R.transpose(2, 0, 1),
                                seg.L.transpose(2, 0, 1)):
                 Phi = scipy.linalg.expm(w * T * (R + m * L)) @ Phi
@@ -270,6 +271,32 @@ def test_four_patch_matches_a_per_cell_scipy_product():
                 Phi, log = Phi / c, log + np.log(c)
             want = (log + np.log(np.linalg.eigvals(Phi).real.max())) / T
             assert abs(lam[i, j] - want) <= 1e-11, (m, T)
+    return lam
+
+
+def test_four_patch_matches_a_per_cell_scipy_product():
+    # no catalog model has four patches: the exponential's generic solve
+    # branch and the eigvals root, against scipy's expm cell by cell
+    mdl = random_model(np.random.default_rng(44), n=4)
+    assert mdl.n == 4 and len(mdl.segments.widths) > 1
+    _scipy_grid_agrees(mdl)
+
+
+@pytest.mark.parametrize("n", [8, 16])
+def test_many_patches_match_a_per_cell_scipy_product(n):
+    # the paper's n patches past the four of the test above: the same
+    # kernel, and a relabelling of the patches leaves Lambda unchanged
+    mdl = random_model(np.random.default_rng(44), n=n)
+    assert mdl.n == n and len(mdl.segments.widths) > 1
+    lam = _scipy_grid_agrees(mdl)
+    perm = np.random.default_rng(n).permutation(n)
+    relabel = [M.PeriodicMatrixFunction.from_segments(
+        f.breaks, [A[np.ix_(perm, perm)] for A in f.matrices])
+        for f in (mdl.growth, mdl.migration)]
+    permuted = M.validated(M.PatchModel(n, *relabel))
+    lam_p, status = D.growth_rates(permuted, _MV[:, None], _TV[None, :])
+    assert np.all(status == "ok")
+    assert np.abs(lam_p - lam).max() <= 1e-11
 
 
 def test_reducible_statuses_at_large_periods():

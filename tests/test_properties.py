@@ -11,7 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from digrowth import asymptotics, dynamics as D, model as M
 from digrowth.model import PatchModel, PeriodicMatrixFunction, validated
-from digrowth.spectral import kernel_vector
+from digrowth.spectral import perron_vector
 
 # breakpoints are multiples of 1/GRID: growth switches at multiples of 4/GRID
 # and migration at 2 mod 4, so the two schedules share only tau = 0, and a
@@ -115,11 +115,12 @@ def test_lambda_is_at_most_chi(spec, point):
 @given(spec=schedules(), point=points)
 def test_lambda_is_at_least_p_rbar_under_constant_migration(spec, point):
     # Lambda = p . rbar + m int h(theta*) with h >= 0, p the kernel vector
-    # of the constant migration matrix
+    # of the constant migration matrix: its Perron vector
     n, growth, (_, migration) = spec
     L = migration[0]
     mdl = _model(n, growth, ([0], [L]))
-    assert kernel_vector(L) @ mdl.mean_rates() <= _lam(mdl, *point) + TOL
+    p = perron_vector(L[:, :, None])[0]
+    assert p @ mdl.mean_rates() <= _lam(mdl, *point) + TOL
 
 
 def _eigvals_root(M):

@@ -160,8 +160,9 @@ def test_perron_frobenius_metzler(rng):
 
 
 def test_kernel_vector_known():
+    # a migration's kernel direction is its Perron vector: the root is 0
     L = np.array([[-1.0, 2.0], [1.0, -2.0]])
-    p = S.kernel_vector(L)
+    p = S.perron_vector(L[:, :, None])[0]
     assert np.allclose(p, [2.0 / 3.0, 1.0 / 3.0], atol=1e-14)
 
 
@@ -170,16 +171,36 @@ def test_kernel_vector_random(rng):
     for _ in range(20):
         n = int(rng.integers(2, 6))
         L = random_migration(rng, n)
-        p = S.kernel_vector(L)
+        p = S.perron_vector(L[:, :, None])[0]
         assert np.all(p > 0.0)
         assert p.sum() == pytest.approx(1.0, abs=1e-12)
         assert np.allclose(L @ p, 0.0, atol=1e-10)
 
 
-def test_kernel_vector_rejects_reducible():
-    L = np.array([[0.0, 1.0], [0.0, -1.0]])
-    with pytest.raises(ValueError):
-        S.kernel_vector(L)
+def test_kernel_consumers_refuse_reducible_input():
+    # perron_vector takes any Metzler stack; each caller that needs a
+    # positive kernel direction checks irreducibility first
+    from digrowth import asymptotics, dynamics, stochastic
+    L = [[0.0, 1.0], [0.0, -1.0]]  # patch 2 drains into patch 1
+    mdl = M.validated(M.PatchModel(
+        2, M.PeriodicMatrixFunction.from_segments(
+            [0.0, 0.5], [np.diag([0.5, -1.5]), np.diag([-1.0, 0.5])]),
+        M.PeriodicMatrixFunction.constant(L)))
+    with pytest.raises(asymptotics.ReducibleSegment):
+        asymptotics.limit_minf(mdl)
+    assert np.isnan(asymptotics.corners(mdl)["lambda_inf0"])
+    assert asymptotics.limit_panel(mdl).infimum is None
+    # no positive monodromy, so no theta* and no h-formula
+    with pytest.raises(dynamics.NonPositiveMonodromy):
+        dynamics.growth_rate_h_formula(mdl, M.ModelParameters(1.0, 2.0))
+    absorbing = stochastic.environment([([0.0, 0.0], L)] * 2,
+                                       [[0.0, 0.0], [1.0, -1.0]])
+    with pytest.raises(stochastic.ReducibleChain):
+        stochastic.stationary_distribution(absorbing)
+    env = stochastic.environment([([0.5, -1.5], L), ([-1.5, 0.5], L)],
+                                 [[-1.0, 1.0], [1.0, -1.0]])
+    corners = stochastic.stochastic_limits(env, 1.0)["corners"]
+    assert "lambda_inf0" not in corners and "lambda_infT" not in corners
 
 
 def test_is_irreducible():

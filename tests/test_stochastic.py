@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 from bisect import bisect_right
 
 import numpy as np
@@ -126,6 +127,24 @@ def test_single_state_collapse():
     assert lims["Tinf"] == pytest.approx(exact, abs=1e-12)
 
 
+def test_one_state_stationary_law_is_exactly_one():
+    # a 1 x 1 zero generator is irreducible, and its Perron vector is [1]
+    env = S.environment([([0.5, -1.5], L_SYM)], [[0.0]])
+    assert S.stationary_distribution(env).tolist() == [1.0]
+
+
+@pytest.mark.parametrize("m", [math.nan, -1.0, math.inf, 1e308])
+def test_limits_reject_an_invalid_m(m):
+    # at m = 1e308, m L overflows on the entry -2 of the second state
+    env = S.environment([([0.5, -1.5], L_SYM),
+                         ([-1.5, 0.5], [[-1.0, 2.0], [1.0, -2.0]])],
+                        [[-1.0, 1.0], [1.0, -1.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # rejected before any NumPy warning
+        with pytest.raises(ValueError):
+            S.stochastic_limits(env, m)
+
+
 def test_limits_pm1_twin():
     env = pm1_twin(0.5)
     lims = S.stochastic_limits(env, 1.0)
@@ -135,6 +154,16 @@ def test_limits_pm1_twin():
     assert lims["corners"]["lambda_0T"] == pytest.approx(-0.5, abs=1e-14)
     assert lims["corners"]["lambda_infT"] == pytest.approx(-0.5, abs=1e-12)
     assert lims["corners"]["sup"] == lims["chi"]
+
+
+def test_fast_migration_corners_of_an_asymmetric_chain():
+    # mu = (1/3, 2/3); kernels (2/3, 1/3) and (1/2, 1/2) per state, and
+    # (4/7, 3/7) of Lbar = [[-1, 4/3], [1, -4/3]]
+    env = S.environment([([1.0, 0.0], [[-1.0, 2.0], [1.0, -2.0]]),
+                         ([0.0, -3.0], L_SYM)], [[-2.0, 2.0], [1.0, -1.0]])
+    corners = S.stochastic_limits(env, 1.0)["corners"]
+    assert corners["lambda_infT"] == pytest.approx(-7.0 / 9.0, abs=1e-14)
+    assert corners["lambda_inf0"] == pytest.approx(-2.0 / 3.0, abs=1e-14)
 
 
 def test_seed_determinism():
